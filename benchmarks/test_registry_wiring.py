@@ -64,7 +64,7 @@ def test_settings_metadata_lands_in_the_record(benchmark, tmp_path, monkeypatch)
     monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path))
     bench_settings = ExperimentSettings(
         mode="smoke",
-        config=SBPConfig.fast().with_overrides(matrix_backend="csr", transport="processes"),
+        config=SBPConfig.fast().with_overrides(matrix_backend="dense", transport="processes"),
     )
 
     def _with_settings(settings):
@@ -76,7 +76,7 @@ def test_settings_metadata_lands_in_the_record(benchmark, tmp_path, monkeypatch)
     assert record.mode == "smoke"
     assert record.config == bench_settings.config.to_dict()
     assert record.seed == bench_settings.seed
-    assert record.backend == "csr"
+    assert record.backend == "dense"
     assert record.transport == "processes"
     assert record.phase_seconds == {}
 

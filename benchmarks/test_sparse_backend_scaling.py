@@ -1,4 +1,4 @@
-"""Scaling benchmark: dense ``csr`` vs true-sparse ``sparse_csr`` storage.
+"""Scaling benchmark: ``dense`` vs true-sparse ``sparse_csr`` storage.
 
 For a grid of block counts, times the two vectorized hot paths — the
 batched merge-proposal phase and the batch-Gibbs MCMC sweep — and records
@@ -21,7 +21,7 @@ import numpy as np
 from bench_utils import run_once
 
 from repro.blockmodel.blockmodel import Blockmodel
-from repro.blockmodel.csr_matrix import MAX_DENSE_BLOCKS
+from repro.blockmodel.dense_matrix import MAX_DENSE_BLOCKS
 from repro.core.config import SBPConfig
 from repro.core.hybrid_mcmc import batch_gibbs_sweep
 from repro.core.merges import block_merge_phase
@@ -30,7 +30,8 @@ from repro.graphs.generators.sbm import DCSBMSpec, generate_dcsbm_graph
 from repro.graphs.graph import Graph
 
 NUM_VERTICES = 4096
-BLOCK_COUNTS = (256, 1024, 4096)
+#: Brackets ``DENSE_BLOCK_LIMIT`` (1024): the ``"auto"`` policy's switch point.
+BLOCK_COUNTS = (256, 1024, 2048, 4096)
 SMOKE_BLOCK_COUNTS = (512,)
 #: Block count of the sparse-only row (beyond the dense backend's ceiling).
 BEYOND_LIMIT_BLOCKS = MAX_DENSE_BLOCKS + 232
@@ -82,17 +83,17 @@ def run_sparse_backend_scaling(settings) -> list:
     graph = _bench_graph()
     rows = []
     for num_blocks in block_counts:
-        dense = _measure(graph, num_blocks, "csr", config)
+        dense = _measure(graph, num_blocks, "dense", config)
         sparse = _measure(graph, num_blocks, "sparse_csr", config)
         rows.append(
             {
                 "num_vertices": graph.num_vertices,
                 "num_blocks": num_blocks,
-                "csr_merge_ms": round(dense["merge_seconds"] * 1000, 2),
+                "dense_merge_ms": round(dense["merge_seconds"] * 1000, 2),
                 "sparse_merge_ms": round(sparse["merge_seconds"] * 1000, 2),
-                "csr_sweep_ms": round(dense["sweep_seconds"] * 1000, 2),
+                "dense_sweep_ms": round(dense["sweep_seconds"] * 1000, 2),
                 "sparse_sweep_ms": round(sparse["sweep_seconds"] * 1000, 2),
-                "csr_peak_mb": round(dense["peak_mb"], 2),
+                "dense_peak_mb": round(dense["peak_mb"], 2),
                 "sparse_peak_mb": round(sparse["peak_mb"], 2),
             }
         )
@@ -103,11 +104,11 @@ def run_sparse_backend_scaling(settings) -> list:
         {
             "num_vertices": big.num_vertices,
             "num_blocks": BEYOND_LIMIT_BLOCKS,
-            "csr_merge_ms": None,  # dense backend rejects this block count
+            "dense_merge_ms": None,  # dense backend rejects this block count
             "sparse_merge_ms": round(beyond["merge_seconds"] * 1000, 2),
-            "csr_sweep_ms": None,
+            "dense_sweep_ms": None,
             "sparse_sweep_ms": round(beyond["sweep_seconds"] * 1000, 2),
-            "csr_peak_mb": None,
+            "dense_peak_mb": None,
             "sparse_peak_mb": round(beyond["peak_mb"], 2),
         }
     )
@@ -119,7 +120,7 @@ def test_sparse_backend_scaling(benchmark, report, settings):
     report(
         rows,
         "sparse_backend_scaling",
-        "sparse_csr vs csr: merge/sweep throughput and peak memory vs block count",
+        "sparse_csr vs dense: merge/sweep throughput and peak memory vs block count",
     )
     assert rows, "no measurements recorded"
     beyond = rows[-1]
@@ -132,7 +133,7 @@ def test_sparse_backend_scaling(benchmark, report, settings):
     # At dense-representable block counts, the sparse backend must not pay
     # the dense quadratic memory bill: compare the largest measured grid B.
     largest = rows[-2]
-    assert largest["sparse_peak_mb"] <= largest["csr_peak_mb"] * 2, (
+    assert largest["sparse_peak_mb"] <= largest["dense_peak_mb"] * 2, (
         "sparse backend peak memory should not exceed the dense backend's "
         f"by 2x at B={largest['num_blocks']}: {largest}"
     )

@@ -9,8 +9,8 @@
 # pytest (e.g. `scripts/verify.sh tests/` to skip the benchmark suite).
 #
 #   --differential   run only the cross-backend differential suite
-#                    (tests/differential/): bit-identity of all three
-#                    storage backends (dict / csr / sparse_csr) through
+#                    (tests/differential/): bit-identity of the storage
+#                    choices (auto / dense / sparse_csr) through
 #                    sequential SBP, DC-SBP and EDiSt, golden-file
 #                    regression partitions, and old→new API equivalence.
 #

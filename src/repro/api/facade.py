@@ -102,9 +102,9 @@ def partition(
         Supply a pre-built context instead of ``observers``/``timeout``
         (mutually exclusive with them); used by :class:`RunHandle`.
     **overrides:
-        :class:`SBPConfig` field overrides, e.g. ``seed=0``,
-        ``matrix_backend="csr"`` (or ``"sparse_csr"`` past the dense
-        backend's block-count cap).
+        :class:`SBPConfig` field overrides, e.g. ``seed=0`` or
+        ``matrix_backend="sparse_csr"`` (the default ``"auto"`` picks
+        dense or sparse storage by block count).
     """
     resolved_strategy = get_strategy(strategy)
     resolved_config = resolve_config(config, **overrides)

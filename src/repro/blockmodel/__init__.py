@@ -4,12 +4,12 @@ This package implements the data structures the paper's C++ implementation
 optimises (Section III-A):
 
 * a **block matrix protocol** (:mod:`repro.blockmodel.backend`) with a
-  registry of interchangeable storage backends: ``"dict"`` (hash maps +
-  transpose, the reference), ``"csr"`` (dense numpy, vectorized kernels)
-  and ``"sparse_csr"`` (scipy-free CSR/CSC + COO buffer — the vectorized
-  kernels without the dense memory bound),
-* the **sparse block matrix** stored as a vector of hash maps *plus its
-  transpose* for fast row- and column-wise access (optimisations (a)/(b)),
+  registry of interchangeable storage backends: ``"dense"`` (numpy array
+  with cached marginals) and ``"sparse_csr"`` (scipy-free CSR/CSC + COO
+  buffer, O(nnz + B) memory), chosen by block count under the default
+  ``"auto"`` policy,
+* the **sparse block matrix** stored with *its transpose* for fast row-
+  and column-wise access (optimisations (a)/(b)),
 * **sparse deltas** so that the change in description length of a proposed
   vertex move or block merge touches only the affected rows/columns
   (optimisation (c)),
@@ -25,11 +25,16 @@ from repro.blockmodel.backend import (
     available_backends,
     get_backend,
     register_backend,
+    register_policy,
 )
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
-from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
+from repro.blockmodel.dense_matrix import DenseBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
-from repro.blockmodel.blockmodel import Blockmodel, VertexBlockCounts, MATRIX_BACKENDS
+from repro.blockmodel.blockmodel import (
+    DENSE_BLOCK_LIMIT,
+    MATRIX_BACKENDS,
+    Blockmodel,
+    VertexBlockCounts,
+)
 from repro.blockmodel.entropy import (
     blockmodel_entropy_term,
     description_length,
@@ -49,12 +54,13 @@ from repro.blockmodel.deltas import (
 __all__ = [
     "BlockMatrixBackend",
     "register_backend",
+    "register_policy",
     "get_backend",
     "available_backends",
-    "SparseBlockMatrix",
-    "CSRBlockMatrix",
+    "DenseBlockMatrix",
     "SparseCSRBlockMatrix",
     "MAX_DENSE_BLOCKS",
+    "DENSE_BLOCK_LIMIT",
     "MATRIX_BACKENDS",
     "Blockmodel",
     "VertexBlockCounts",

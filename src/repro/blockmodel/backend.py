@@ -1,17 +1,20 @@
 """The formal block-matrix storage protocol and its backend registry.
 
-Every blockmodel storage backend — the hash-map reference
-(:class:`~repro.blockmodel.sparse_matrix.SparseBlockMatrix`), the dense
-vectorized array (:class:`~repro.blockmodel.csr_matrix.CSRBlockMatrix`) and
-the true-sparse CSR/COO representation
+Every blockmodel storage backend — the dense array
+(:class:`~repro.blockmodel.dense_matrix.DenseBlockMatrix`) and the
+true-sparse CSR/COO representation
 (:class:`~repro.blockmodel.sparse_csr_matrix.SparseCSRBlockMatrix`) — is an
 implementation of :class:`BlockMatrixBackend`, registered under a stable
-name with :func:`register_backend`.  The registry mirrors the strategy
-registry of :mod:`repro.api`: ``SBPConfig.matrix_backend`` and
+name with :func:`register_backend`.  A *policy* (:func:`register_policy`)
+is a registered name that picks a backend from the block count at every
+build; ``"auto"`` (dense up to
+:data:`~repro.blockmodel.blockmodel.DENSE_BLOCK_LIMIT` blocks, sparse
+above) is the default.  The registry mirrors the strategy registry of
+:mod:`repro.api`: ``SBPConfig.matrix_backend`` and
 ``Blockmodel.from_graph(..., matrix_backend=...)`` are validated against it
 (never against a hard-coded literal set), unknown names raise a
-:class:`ValueError` listing the registered backends, and new storage
-engines plug in by registering a class instead of editing dispatch sites.
+:class:`ValueError` listing the registered names, and new storage engines
+plug in by registering a class instead of editing dispatch sites.
 
 The protocol has four layers:
 
@@ -21,7 +24,7 @@ construction
     build-from-edge-arrays path used by ``Blockmodel.from_assignment``.
 element access and mutation
     ``get`` / ``add`` / ``set`` plus the batched ``get_many`` /
-    ``add_many`` used by the vectorized kernels.  Negative entries are
+    ``add_many`` the vectorized kernels are built on.  Negative entries are
     always an error, enforced at mutation time.
 cached marginals and views
     ``row`` / ``col`` dict snapshots, ``row_entries`` / ``col_entries``
@@ -32,11 +35,10 @@ clone / compact
     pending write buffer into the primary representation (a no-op for
     backends without one).
 
-Capability flags instead of ``hasattr`` probing: the delta kernels
-(:func:`repro.blockmodel.deltas.delta_dl_for_moves`,
+Every backend serves the batched primitives efficiently, so the whole-batch
+kernels (:func:`repro.blockmodel.deltas.delta_dl_for_moves`,
 :func:`repro.blockmodel.deltas.delta_dl_for_merges`,
-:func:`repro.core.proposals.hastings_corrections`) and the drivers dispatch
-on :attr:`BlockMatrixBackend.supports_batched_kernels`.
+:func:`repro.core.proposals.hastings_corrections`) run on all of them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import numpy as np
 __all__ = [
     "BlockMatrixBackend",
     "register_backend",
+    "register_policy",
     "get_backend",
     "available_backends",
     "backend_registry_hint",
@@ -72,19 +75,14 @@ class BlockMatrixBackend(abc.ABC):
 
     __slots__ = ()
 
-    #: Registry name (``"dict"`` / ``"csr"`` / ``"sparse_csr"`` / ...).
+    #: Registry name (``"dense"`` / ``"sparse_csr"`` / ...).
     backend: str = "abstract"
-
-    #: Whether the vectorized whole-batch kernels (``delta_dl_for_moves``,
-    #: ``delta_dl_for_merges``, ``hastings_corrections``) can run on this
-    #: backend.  Requires ``get_many`` / ``add_many`` / ``csr_structure``
-    #: to be efficient, not merely present.
-    supports_batched_kernels: bool = False
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    @abc.abstractmethod
     def from_block_edges(
         cls,
         num_blocks: int,
@@ -92,19 +90,7 @@ class BlockMatrixBackend(abc.ABC):
         block_dst: np.ndarray,
         weights: np.ndarray,
     ) -> "BlockMatrixBackend":
-        """Build from per-edge block endpoints.
-
-        The default accumulates scalar :meth:`add` calls; array backends
-        override this with a vectorized aggregation.
-        """
-        out = cls(num_blocks)  # type: ignore[call-arg]
-        for i, j, w in zip(
-            np.asarray(block_src).tolist(),
-            np.asarray(block_dst).tolist(),
-            np.asarray(weights).tolist(),
-        ):
-            out.add(i, j, w)
-        return out
+        """Vectorized build from per-edge block endpoints."""
 
     # ------------------------------------------------------------------
     # Element access / mutation
@@ -121,21 +107,13 @@ class BlockMatrixBackend(abc.ABC):
     def set(self, i: int, j: int, value: int) -> None:
         """Set entry ``(i, j)`` to ``value`` (must be non-negative)."""
 
+    @abc.abstractmethod
     def get_many(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gather ``[(i, j)]`` entries as an int64 array (batched ``get``)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        return np.asarray(
-            [self.get(int(i), int(j)) for i, j in zip(rows.tolist(), cols.tolist())],
-            dtype=np.int64,
-        )
 
+    @abc.abstractmethod
     def add_many(self, rows: np.ndarray, cols: np.ndarray, deltas: np.ndarray) -> None:
         """Scatter-add many deltas at once (duplicate positions accumulate)."""
-        for i, j, d in zip(
-            np.asarray(rows).tolist(), np.asarray(cols).tolist(), np.asarray(deltas).tolist()
-        ):
-            self.add(i, j, d)
 
     # ------------------------------------------------------------------
     # Row / column views
@@ -148,6 +126,7 @@ class BlockMatrixBackend(abc.ABC):
     def col(self, j: int) -> Dict[int, int]:
         """Non-zero entries of column ``j`` as ``{row: count}``."""
 
+    @abc.abstractmethod
     def row_entries(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row ``i``'s non-zero ``(columns, values)`` in ascending column order.
 
@@ -156,17 +135,10 @@ class BlockMatrixBackend(abc.ABC):
         is what keeps a given RNG draw selecting the same block regardless
         of storage.
         """
-        row = self.row(i)
-        cols = np.asarray(sorted(row), dtype=np.int64)
-        vals = np.asarray([row[int(j)] for j in cols.tolist()], dtype=np.int64)
-        return cols, vals
 
+    @abc.abstractmethod
     def col_entries(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """Column ``j``'s non-zero ``(rows, values)`` in ascending row order."""
-        col = self.col(j)
-        rows = np.asarray(sorted(col), dtype=np.int64)
-        vals = np.asarray([col[int(i)] for i in rows.tolist()], dtype=np.int64)
-        return rows, vals
 
     @abc.abstractmethod
     def row_sum(self, i: int) -> int: ...
@@ -204,6 +176,7 @@ class BlockMatrixBackend(abc.ABC):
         log-likelihood) stay bit-identical across backends.
         """
 
+    @abc.abstractmethod
     def csr_structure(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Row- and column-major CSR views of the non-zero entries.
 
@@ -211,18 +184,8 @@ class BlockMatrixBackend(abc.ABC):
         non-zeros in row-major order with a row pointer, and the same
         entries in column-major order with a column pointer.  This is the
         substrate of the batched merge kernel
-        (:func:`repro.blockmodel.deltas.delta_dl_for_merges`); backends
-        that already store CSR/CSC arrays override it to return views.
+        (:func:`repro.blockmodel.deltas.delta_dl_for_merges`).
         """
-        nz_i, nz_j, nz_v = self.nonzero_arrays()
-        num_blocks = self.num_blocks  # type: ignore[attr-defined]
-        row_ptr = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(nz_i, minlength=num_blocks), out=row_ptr[1:])
-        order = np.lexsort((nz_i, nz_j))
-        col_i, col_v = nz_i[order], nz_v[order]
-        col_ptr = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(nz_j, minlength=num_blocks), out=col_ptr[1:])
-        return (nz_j, nz_v, row_ptr), (col_i, col_v, col_ptr)
 
     # ------------------------------------------------------------------
     # Clone / compact
@@ -251,6 +214,7 @@ class BlockMatrixBackend(abc.ABC):
 # Registry
 # ----------------------------------------------------------------------
 _BACKENDS: Dict[str, Type[BlockMatrixBackend]] = {}
+_POLICIES: Dict[str, Callable[[int], str]] = {}
 
 
 def register_backend(name: str) -> Callable[[type], type]:
@@ -274,22 +238,34 @@ def register_backend(name: str) -> Callable[[type], type]:
     return _register
 
 
+def register_policy(name: str, choose: Callable[[int], str]) -> None:
+    """Register a storage policy: ``choose(num_blocks)`` names a backend.
+
+    A policy is accepted wherever a backend name is, and is re-evaluated
+    at every blockmodel build, so a run's storage follows its block count.
+    """
+    _POLICIES[str(name)] = choose
+
+
 def available_backends() -> List[str]:
-    """Names of every registered backend, in registration order."""
-    return list(_BACKENDS)
+    """Every registered policy and backend name, policies first."""
+    return [*_POLICIES, *_BACKENDS]
 
 
 def backend_registry_hint() -> str:
-    """Human-readable list of registered backends for error messages."""
+    """Human-readable list of registered names for error messages."""
     return ", ".join(repr(name) for name in available_backends())
 
 
-def get_backend(name: str) -> Type[BlockMatrixBackend]:
-    """Resolve a backend name to its storage class.
+def get_backend(name: str, num_blocks: int = 0) -> Type[BlockMatrixBackend]:
+    """Resolve a backend or policy name to a storage class.
 
+    A policy name resolves to the backend it picks for ``num_blocks``.
     Unknown names raise a :class:`ValueError` listing the registry, the
     same convention as strategy and preset lookups in :mod:`repro.api`.
     """
+    if name in _POLICIES:
+        name = _POLICIES[name](num_blocks)
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown matrix_backend {name!r}; registered backends: "

@@ -11,7 +11,11 @@ maintains, incrementally, everything the SBP inner loops need:
 Vertex moves are applied in place via :meth:`move_vertex`; block merges are
 applied by relabelling the assignment and rebuilding
 (:meth:`from_assignment`), mirroring how the reference SBP implementations
-rebuild the model between phases.
+rebuild the model between phases.  Every build picks its storage through one
+selection point: the default ``"auto"`` policy stores the block matrix
+densely up to :data:`DENSE_BLOCK_LIMIT` blocks and as ``"sparse_csr"``
+above it, so a run that starts sparse at one block per vertex turns dense at
+the first rebuild where the block count fits.
 """
 
 from __future__ import annotations
@@ -21,23 +25,37 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.blockmodel.backend import BlockMatrixBackend, available_backends, get_backend
+from repro.blockmodel.backend import (
+    BlockMatrixBackend,
+    available_backends,
+    get_backend,
+    register_policy,
+)
 
 # Importing the implementation modules populates the backend registry.
-from repro.blockmodel.csr_matrix import CSRBlockMatrix  # noqa: F401
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix  # noqa: F401
+from repro.blockmodel.dense_matrix import DenseBlockMatrix  # noqa: F401
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix  # noqa: F401
 from repro.blockmodel import entropy as entropy_mod
 from repro.graphs.graph import Graph
 
-__all__ = ["VertexBlockCounts", "Blockmodel", "MATRIX_BACKENDS"]
+__all__ = ["VertexBlockCounts", "Blockmodel", "MATRIX_BACKENDS", "DENSE_BLOCK_LIMIT"]
 
-#: Import-time snapshot of the registered storage backends (``"dict"`` is
-#: the hash-map reference, ``"csr"`` the dense vectorized array,
-#: ``"sparse_csr"`` the scipy-free true-sparse representation).  Kept for
-#: test parametrization and documentation; *validation* always consults the
-#: live registry (:func:`repro.blockmodel.backend.available_backends`) so
-#: backends registered after import are accepted everywhere.
+#: Largest block count the ``"auto"`` policy stores densely.  In
+#: ``benchmarks/test_sparse_backend_scaling.py`` (V=4096, merge phase plus
+#: one batch-Gibbs sweep) dense and ``"sparse_csr"`` are level at B=1024,
+#: and dense is slower from B=2048 on while its O(B²) array grows to 32 MB.
+DENSE_BLOCK_LIMIT = 1024
+
+register_policy(
+    "auto", lambda num_blocks: "dense" if num_blocks <= DENSE_BLOCK_LIMIT else "sparse_csr"
+)
+
+#: Import-time snapshot of the registered storage names: the ``"auto"``
+#: policy, the ``"dense"`` array and the scipy-free ``"sparse_csr"``
+#: representation.  Kept for test parametrization and documentation;
+#: *validation* always consults the live registry
+#: (:func:`repro.blockmodel.backend.available_backends`) so names
+#: registered after import are accepted everywhere.
 MATRIX_BACKENDS = tuple(available_backends())
 
 
@@ -75,6 +93,7 @@ class Blockmodel:
         "block_out_degrees",
         "block_in_degrees",
         "block_sizes",
+        "matrix_policy",
     )
 
     def __init__(
@@ -86,6 +105,7 @@ class Blockmodel:
         block_out_degrees: np.ndarray,
         block_in_degrees: np.ndarray,
         block_sizes: np.ndarray,
+        matrix_policy: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.assignment = assignment
@@ -94,6 +114,9 @@ class Blockmodel:
         self.block_out_degrees = block_out_degrees
         self.block_in_degrees = block_in_degrees
         self.block_sizes = block_sizes
+        #: The storage name rebuilds pass on: a policy such as ``"auto"``
+        #: (re-evaluated at every rebuild) or a concrete backend name.
+        self.matrix_policy = matrix_policy or matrix.backend
 
     # ------------------------------------------------------------------
     # Construction
@@ -103,7 +126,7 @@ class Blockmodel:
         cls,
         graph: Graph,
         num_blocks: Optional[int] = None,
-        matrix_backend: str = "dict",
+        matrix_backend: str = "auto",
     ) -> "Blockmodel":
         """Initial blockmodel: every vertex in its own block (the SBP start).
 
@@ -111,7 +134,7 @@ class Blockmodel:
         vertices round-robin to that many blocks instead (useful for tests
         and for building models at a prescribed granularity).
         ``matrix_backend`` selects the block matrix storage (see
-        :data:`MATRIX_BACKENDS`); rebuilds triggered by merges preserve it.
+        :data:`MATRIX_BACKENDS`); rebuilds triggered by merges pass it on.
         """
         if num_blocks is None or num_blocks >= graph.num_vertices:
             assignment = np.arange(graph.num_vertices, dtype=np.int64)
@@ -127,7 +150,7 @@ class Blockmodel:
         assignment: Sequence[int] | np.ndarray,
         num_blocks: Optional[int] = None,
         relabel: bool = False,
-        matrix_backend: str = "dict",
+        matrix_backend: str = "auto",
     ) -> "Blockmodel":
         """Build the block matrix and degrees for a given assignment.
 
@@ -139,12 +162,12 @@ class Blockmodel:
             sorted unique labels are mapped to consecutive integers).
         matrix_backend:
             Block matrix storage, resolved against the backend registry
-            (:func:`repro.blockmodel.backend.get_backend`): ``"dict"``
-            (hash maps, the reference), ``"csr"`` (dense numpy arrays with
-            cached marginals) or ``"sparse_csr"`` (scipy-free CSR/COO, no
-            dense memory bound).
+            (:func:`repro.blockmodel.backend.get_backend`): ``"auto"``
+            (dense up to :data:`DENSE_BLOCK_LIMIT` blocks, sparse above),
+            ``"dense"`` (numpy array with cached marginals) or
+            ``"sparse_csr"`` (scipy-free CSR/COO, no dense memory bound).
+            The blockmodel keeps the name as :attr:`matrix_policy`.
         """
-        backend_cls = get_backend(matrix_backend)  # ValueError lists the registry
         assignment = np.asarray(assignment, dtype=np.int64).copy()
         if assignment.shape != (graph.num_vertices,):
             raise ValueError("assignment must label every vertex")
@@ -159,6 +182,7 @@ class Blockmodel:
         src, dst, w = graph.edge_arrays()
         bsrc = assignment[src]
         bdst = assignment[dst]
+        backend_cls = get_backend(matrix_backend, num_blocks)  # ValueError lists the registry
         matrix = backend_cls.from_block_edges(num_blocks, bsrc, bdst, w)
 
         block_out = np.zeros(num_blocks, dtype=np.int64)
@@ -167,7 +191,9 @@ class Blockmodel:
             np.add.at(block_out, bsrc, w)
             np.add.at(block_in, bdst, w)
         sizes = np.bincount(assignment, minlength=num_blocks).astype(np.int64)
-        return cls(graph, assignment, num_blocks, matrix, block_out, block_in, sizes)
+        return cls(
+            graph, assignment, num_blocks, matrix, block_out, block_in, sizes, matrix_backend
+        )
 
     def refresh_derived_state(self) -> None:
         """Recompute matrix, block degrees and sizes from the assignment.
@@ -175,10 +201,9 @@ class Blockmodel:
         Used by the vectorized sweep path after editing ``assignment``
         directly: the derived state is a pure function of the assignment, so
         one vectorized rebuild replaces many per-move incremental updates.
-        The storage backend is preserved.
         """
         rebuilt = Blockmodel.from_assignment(
-            self.graph, self.assignment, self.num_blocks, matrix_backend=self.matrix_backend
+            self.graph, self.assignment, self.num_blocks, matrix_backend=self.matrix_policy
         )
         self.matrix = rebuilt.matrix
         self.block_out_degrees = rebuilt.block_out_degrees
@@ -195,6 +220,7 @@ class Blockmodel:
             self.block_out_degrees.copy(),
             self.block_in_degrees.copy(),
             self.block_sizes.copy(),
+            self.matrix_policy,
         )
 
     # ------------------------------------------------------------------
@@ -214,8 +240,8 @@ class Blockmodel:
 
     @property
     def matrix_backend(self) -> str:
-        """Registry name of the block matrix storage backend."""
-        return getattr(self.matrix, "backend", "dict")
+        """Registry name of the concrete block matrix storage backend."""
+        return self.matrix.backend
 
     def block_of(self, v: int) -> int:
         return int(self.assignment[v])
@@ -278,40 +304,28 @@ class Blockmodel:
         if counts is None:
             counts = self.vertex_block_counts(v)
 
-        matrix = self.matrix
-        if getattr(matrix, "supports_batched_kernels", False):
-            # Batched scatter-add: one numpy call instead of 2×(deg) scalar adds.
-            rows: list = []
-            cols: list = []
-            deltas: list = []
-            for b, w in counts.out_counts.items():
-                rows += (from_block, to_block)
-                cols += (b, b)
-                deltas += (-w, w)
-            for b, w in counts.in_counts.items():
-                rows += (b, b)
-                cols += (from_block, to_block)
-                deltas += (-w, w)
-            if counts.self_loop:
-                rows += (from_block, to_block)
-                cols += (from_block, to_block)
-                deltas += (-counts.self_loop, counts.self_loop)
-            if rows:
-                matrix.add_many(
-                    np.asarray(rows, dtype=np.int64),
-                    np.asarray(cols, dtype=np.int64),
-                    np.asarray(deltas, dtype=np.int64),
-                )
-        else:
-            for b, w in counts.out_counts.items():
-                matrix.add(from_block, b, -w)
-                matrix.add(to_block, b, w)
-            for b, w in counts.in_counts.items():
-                matrix.add(b, from_block, -w)
-                matrix.add(b, to_block, w)
-            if counts.self_loop:
-                matrix.add(from_block, from_block, -counts.self_loop)
-                matrix.add(to_block, to_block, counts.self_loop)
+        # Batched scatter-add: one numpy call instead of 2×(deg) scalar adds.
+        rows: list = []
+        cols: list = []
+        deltas: list = []
+        for b, w in counts.out_counts.items():
+            rows += (from_block, to_block)
+            cols += (b, b)
+            deltas += (-w, w)
+        for b, w in counts.in_counts.items():
+            rows += (b, b)
+            cols += (from_block, to_block)
+            deltas += (-w, w)
+        if counts.self_loop:
+            rows += (from_block, to_block)
+            cols += (from_block, to_block)
+            deltas += (-counts.self_loop, counts.self_loop)
+        if rows:
+            self.matrix.add_many(
+                np.asarray(rows, dtype=np.int64),
+                np.asarray(cols, dtype=np.int64),
+                np.asarray(deltas, dtype=np.int64),
+            )
 
         out_total = counts.out_total
         in_total = counts.in_total
@@ -322,6 +336,27 @@ class Blockmodel:
         self.block_sizes[from_block] -= 1
         self.block_sizes[to_block] += 1
         self.assignment[v] = to_block
+
+    def apply_moves(
+        self, vertices: Sequence[int] | np.ndarray, targets: Sequence[int] | np.ndarray
+    ) -> None:
+        """Move each ``vertices[k]`` to ``targets[k]``, in order.
+
+        The derived state (matrix, degrees, sizes) is a pure function of the
+        assignment, so a large set of moves is applied as one vectorized
+        rebuild instead of one incremental update per move; small sets stay
+        incremental.  Both paths produce identical integer state.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if vertices.size >= 64 and vertices.size * 100 >= self.num_vertices:
+            # A vertex's last move wins, as when applied one at a time.
+            last = vertices.size - 1 - np.unique(vertices[::-1], return_index=True)[1]
+            self.assignment[vertices[last]] = targets[last]
+            self.refresh_derived_state()
+            return
+        for v, t in zip(vertices.tolist(), targets.tolist()):
+            self.move_vertex(v, t)
 
     # ------------------------------------------------------------------
     # Block merges
@@ -339,7 +374,7 @@ class Blockmodel:
         resolved = resolve_merge_chain(merge_target)
         new_assignment = resolved[self.assignment]
         return Blockmodel.from_assignment(
-            self.graph, new_assignment, relabel=True, matrix_backend=self.matrix_backend
+            self.graph, new_assignment, relabel=True, matrix_backend=self.matrix_policy
         )
 
     # ------------------------------------------------------------------
@@ -350,63 +385,37 @@ class Blockmodel:
     ) -> int:
         """Sample a block adjacent to ``block`` ∝ its edge multiplicities.
 
-        Considers both out-edges (row) and in-edges (column) of ``block``.
-        Returns ``-1`` if ``block`` has no incident edges.  Entries are
-        scanned in ascending block order for both storage backends, so a
-        given RNG draw selects the same block regardless of backend.
+        Considers both out-edges (row) and in-edges (column) of ``block``:
+        a cumulative-sum search over the row's non-zero entries, then (for
+        draws beyond the row total) over the column's.  Entries are scanned
+        in ascending block order on every backend, so a given RNG draw
+        selects the same block regardless of storage.  Returns ``-1`` if
+        ``block`` has no incident edges.
 
-        ``cumsum_cache`` (array backends only) memoizes the per-block
-        cumulative sums across calls; callers that sample the same blocks
-        many times while the blockmodel is *frozen* — the merge-proposal
-        loop — pass a dict they own.  Caching changes neither the RNG
-        consumption nor the result.
+        ``cumsum_cache`` memoizes the per-block cumulative sums across
+        calls; callers that sample the same blocks many times while the
+        blockmodel is *frozen* — the merge-proposal loop — pass a dict they
+        own.  Caching changes neither the RNG consumption nor the result.
         """
         total = int(self.block_out_degrees[block]) + int(self.block_in_degrees[block])
         if total <= 0:
             return -1
         target = int(rng.integers(0, total))
         matrix = self.matrix
-        if getattr(matrix, "supports_batched_kernels", False):
-            # Array backends: cumulative-sum search over the row's non-zero
-            # entries, then (for draws beyond the row total) over the
-            # column's.  Searching the sparse cumulative sums selects the
-            # same block as the dense-row search used previously: the dense
-            # cumsum is flat across zero entries, so ``side="right"`` lands
-            # on exactly the non-zero entry whose partial sum first exceeds
-            # the target.
-            row_total = matrix.row_sum(block)
-            if target < row_total:
-                key = ("row", block)
-                cached = cumsum_cache.get(key) if cumsum_cache is not None else None
-                if cached is None:
-                    idx, vals = matrix.row_entries(block)
-                    cached = (np.cumsum(vals), idx)
-                    if cumsum_cache is not None:
-                        cumsum_cache[key] = cached
-                cum, idx = cached
-                return int(idx[np.searchsorted(cum, target, side="right")])
-            key = ("col", block)
-            cached = cumsum_cache.get(key) if cumsum_cache is not None else None
-            if cached is None:
-                idx, vals = matrix.col_entries(block)
-                cached = (np.cumsum(vals), idx)
-                if cumsum_cache is not None:
-                    cumsum_cache[key] = cached
-            cum, idx = cached
-            return int(idx[np.searchsorted(cum, target - row_total, side="right")])
-        row = matrix.row(block)
-        col = matrix.col(block)
-        acc = 0
-        for j in sorted(row):
-            acc += row[j]
-            if target < acc:
-                return int(j)
-        for i in sorted(col):
-            acc += col[i]
-            if target < acc:
-                return int(i)
-        # Numerical safety: should not happen because degrees equal the sums.
-        return int(min(row) if row else min(col))
+        row_total = matrix.row_sum(block)
+        if target < row_total:
+            key, entries = ("row", block), matrix.row_entries
+        else:
+            key, entries = ("col", block), matrix.col_entries
+            target -= row_total
+        cached = cumsum_cache.get(key) if cumsum_cache is not None else None
+        if cached is None:
+            idx, vals = entries(block)
+            cached = (np.cumsum(vals), idx)
+            if cumsum_cache is not None:
+                cumsum_cache[key] = cached
+        cum, idx = cached
+        return int(idx[np.searchsorted(cum, target, side="right")])
 
     # ------------------------------------------------------------------
     # Validation
@@ -420,7 +429,7 @@ class Blockmodel:
         invariants.
         """
         rebuilt = Blockmodel.from_assignment(
-            self.graph, self.assignment, self.num_blocks, matrix_backend=self.matrix_backend
+            self.graph, self.assignment, self.num_blocks, matrix_backend=self.matrix_policy
         )
         self.matrix.check_consistent()
         if self.matrix != rebuilt.matrix:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,140 +57,6 @@ class MoveDelta:
         return self.delta_dl < 0
 
 
-class _DegreeView:
-    """Array-backed degree lookup with a sparse override for changed blocks."""
-
-    __slots__ = ("base", "overrides")
-
-    def __init__(self, base: np.ndarray, overrides: Optional[Dict[int, int]] = None) -> None:
-        self.base = base
-        self.overrides = overrides or {}
-
-    def __getitem__(self, idx: int) -> int:
-        if idx in self.overrides:
-            return self.overrides[idx]
-        return int(self.base[idx])
-
-
-def _region_likelihood(
-    rows: Mapping[int, Mapping[int, int]],
-    cols: Mapping[int, Mapping[int, int]],
-    d_out,
-    d_in,
-) -> float:
-    """Likelihood contribution of the given rows and columns.
-
-    Entries that belong to one of the listed rows are counted there; column
-    entries whose row index is also listed are skipped to avoid double
-    counting.
-    """
-    total = 0.0
-    row_ids = set(rows.keys())
-    # Entries are accumulated in ascending index order so that both storage
-    # backends (insertion-ordered dicts vs. sorted array snapshots) produce
-    # bit-identical sums.
-    for i, row in rows.items():
-        douti = d_out[i]
-        if douti <= 0:
-            continue
-        for j in sorted(row):
-            val = row[j]
-            if val > 0:
-                total += val * math.log(val / (douti * d_in[j]))
-    for j, col in cols.items():
-        dinj = d_in[j]
-        if dinj <= 0:
-            continue
-        for i in sorted(col):
-            if i in row_ids:
-                continue
-            val = col[i]
-            if val > 0:
-                total += val * math.log(val / (d_out[i] * dinj))
-    return total
-
-
-def _apply_row_delta(row: Mapping[int, int], deltas: Iterable) -> Dict[int, int]:
-    out = dict(row)
-    for key, d in deltas:
-        new = out.get(key, 0) + d
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
-
-
-def delta_dl_for_move_slow(
-    blockmodel: Blockmodel,
-    vertex: int,
-    to_block: int,
-    counts: Optional[VertexBlockCounts] = None,
-) -> MoveDelta:
-    """Reference ΔDL of a vertex move, computed over the full affected region.
-
-    This is the straightforward (row/column re-evaluation) formulation.  The
-    production path :func:`delta_dl_for_move` uses an aggregated form that
-    avoids touching unchanged entries; the test-suite checks that the two
-    always agree (and that both agree with a full DL recomputation).
-    """
-    from_block = int(blockmodel.assignment[vertex])
-    to_block = int(to_block)
-    if counts is None:
-        counts = blockmodel.vertex_block_counts(vertex)
-    if from_block == to_block:
-        return MoveDelta(vertex, from_block, to_block, 0.0, counts)
-
-    matrix = blockmodel.matrix
-    r, s = from_block, to_block
-
-    # Sparse matrix delta induced by the move (see Blockmodel.move_vertex).
-    entry_delta: Dict[tuple, int] = {}
-
-    def bump(i: int, j: int, d: int) -> None:
-        if d == 0:
-            return
-        key = (i, j)
-        entry_delta[key] = entry_delta.get(key, 0) + d
-
-    for b, w in counts.out_counts.items():
-        bump(r, b, -w)
-        bump(s, b, w)
-    for b, w in counts.in_counts.items():
-        bump(b, r, -w)
-        bump(b, s, w)
-    if counts.self_loop:
-        bump(r, r, -counts.self_loop)
-        bump(s, s, counts.self_loop)
-
-    old_rows = {r: matrix.row(r), s: matrix.row(s)}
-    old_cols = {r: matrix.col(r), s: matrix.col(s)}
-
-    new_rows = {
-        r: _apply_row_delta(matrix.row(r), ((j, d) for (i, j), d in entry_delta.items() if i == r)),
-        s: _apply_row_delta(matrix.row(s), ((j, d) for (i, j), d in entry_delta.items() if i == s)),
-    }
-    new_cols = {
-        r: _apply_row_delta(matrix.col(r), ((i, d) for (i, j), d in entry_delta.items() if j == r)),
-        s: _apply_row_delta(matrix.col(s), ((i, d) for (i, j), d in entry_delta.items() if j == s)),
-    }
-
-    out_total = counts.out_total
-    in_total = counts.in_total
-    d_out = blockmodel.block_out_degrees
-    d_in = blockmodel.block_in_degrees
-    new_d_out = _DegreeView(d_out, {r: int(d_out[r]) - out_total, s: int(d_out[s]) + out_total})
-    new_d_in = _DegreeView(d_in, {r: int(d_in[r]) - in_total, s: int(d_in[s]) + in_total})
-    old_d_out = _DegreeView(d_out)
-    old_d_in = _DegreeView(d_in)
-
-    old_term = _region_likelihood(old_rows, old_cols, old_d_out, old_d_in)
-    new_term = _region_likelihood(new_rows, new_cols, new_d_out, new_d_in)
-    # DL contains −L, so ΔDL = L_old − L_new over the affected region.
-    delta = old_term - new_term
-    return MoveDelta(vertex, from_block, to_block, delta, counts)
-
-
 def delta_dl_for_move(
     blockmodel: Blockmodel,
     vertex: int,
@@ -205,7 +71,8 @@ def delta_dl_for_move(
     summed per row/column and adjusted with a single logarithm instead of one
     per entry.  Only the entries actually modified by the move (the vertex's
     neighbour blocks and the four ``{r,s} × {r,s}`` corners) are re-evaluated
-    individually.
+    individually.  The test-suite checks it against the from-scratch
+    :func:`repro.core.reference.naive_delta_dl_for_move`.
     """
     from_block = int(blockmodel.assignment[vertex])
     to_block = int(to_block)
@@ -406,22 +273,14 @@ def delta_dl_for_moves(
     whole-batch numpy operations instead of per-move Python loops.  Every
     move is evaluated against the *same* (current) blockmodel state, which
     is exactly the staleness semantics of the asynchronous Gibbs batches in
-    :mod:`repro.core.hybrid_mcmc`.
-
-    Requires a backend with ``supports_batched_kernels`` (``"csr"`` or
-    ``"sparse_csr"``); moves proposing ``to_block == from_block`` get
-    ``ΔDL = 0``.
+    :mod:`repro.core.hybrid_mcmc`.  Moves proposing
+    ``to_block == from_block`` get ``ΔDL = 0``.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     to_blocks = np.asarray(to_blocks, dtype=np.int64)
     if vertices.shape != to_blocks.shape:
         raise ValueError("vertices and to_blocks must have the same shape")
     matrix = blockmodel.matrix
-    if not getattr(matrix, "supports_batched_kernels", False):
-        raise TypeError(
-            "delta_dl_for_moves requires a backend with supports_batched_kernels "
-            "(e.g. SBPConfig(matrix_backend='csr') or 'sparse_csr')"
-        )
     m = vertices.shape[0]
     num_blocks = blockmodel.num_blocks
     assignment = blockmodel.assignment
@@ -553,8 +412,8 @@ def _merge_region_sums(
     merge kernels.  ``np.bincount`` accumulates its weights strictly
     sequentially in input order, so as long as both callers lay out a merge
     candidate's region entries in the same order, the two paths produce
-    **bit-identical** sums — which is what lets the dict and CSR backends
-    select identical merges (the sort keys of the merge phase are these
+    **bit-identical** sums — which is what lets the scalar kernel serve as
+    the batched kernel's oracle (the sort keys of the merge phase are these
     floats).  All entries must have ``v > 0`` and ``denom > 0``.
     """
     if values.size == 0:
@@ -682,7 +541,7 @@ def delta_dl_for_merges(
     block matrix instead of per-candidate Python loops.  Per-candidate work
     is O(Σ nnz(rows/cols touched)), on top of a once-per-call
     ``matrix.csr_structure()`` build (a zero-copy view on the sparse_csr
-    backend; O(B²) + O(nnz·log nnz) on the dense backend) — callers
+    backend; O(B²) on the dense backend) — callers
     amortise that by scoring a whole phase's candidates in one batch, the
     way :func:`repro.core.merges.best_segmented_merges` does.
 
@@ -691,21 +550,13 @@ def delta_dl_for_merges(
     primitive (:func:`_merge_region_sums`), so the returned deltas are
     **bit-identical** to per-candidate :func:`delta_dl_for_merge` calls —
     the property the cross-backend differential suite locks down.
-
-    Requires a backend with ``supports_batched_kernels`` (``"csr"`` or
-    ``"sparse_csr"``).  Candidates with ``from_block == to_block`` get
-    ``ΔDL = 0``.
+    Candidates with ``from_block == to_block`` get ``ΔDL = 0``.
     """
     from_blocks = np.asarray(from_blocks, dtype=np.int64)
     to_blocks = np.asarray(to_blocks, dtype=np.int64)
     if from_blocks.shape != to_blocks.shape:
         raise ValueError("from_blocks and to_blocks must have the same shape")
     matrix = blockmodel.matrix
-    if not getattr(matrix, "supports_batched_kernels", False):
-        raise TypeError(
-            "delta_dl_for_merges requires a backend with supports_batched_kernels "
-            "(e.g. SBPConfig(matrix_backend='csr') or 'sparse_csr')"
-        )
     total = from_blocks.shape[0]
     deltas = np.zeros(total, dtype=np.float64)
     valid = np.flatnonzero(from_blocks != to_blocks)

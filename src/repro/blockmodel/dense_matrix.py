@@ -1,15 +1,13 @@
-"""Array-backed block matrix: the vectorized storage backend.
+"""Dense block matrix: the fast storage backend for small block counts.
 
-:class:`CSRBlockMatrix` is the numpy counterpart of
-:class:`~repro.blockmodel.sparse_matrix.SparseBlockMatrix`.  It is built
-directly from the graph's CSR adjacency (hence the name) but stores the
-block matrix as a dense ``(B, B)`` ``int64`` array together with cached row
-and column sums, because the SBP inner loops need random access to entries
-*and* O(1) marginals far more often than they need sparsity.
+:class:`DenseBlockMatrix` stores the block matrix as a dense ``(B, B)``
+``int64`` array together with cached row and column sums, because the SBP
+inner loops need random access to entries *and* O(1) marginals far more
+often than they need sparsity.
 
-On top of the scalar API shared with the dict backend (``get`` / ``add`` /
-``set`` / ``row`` / ``col`` / ``entries`` / ...) it exposes the batched
-primitives the vectorized evaluation kernels are built on:
+On top of the scalar protocol API (``get`` / ``add`` / ``set`` / ``row`` /
+``col`` / ``entries`` / ...) it exposes the batched primitives the
+vectorized evaluation kernels are built on:
 
 ``get_many(rows, cols)``
     Fancy-indexed gather of many entries at once.
@@ -21,10 +19,10 @@ primitives the vectorized evaluation kernels are built on:
 ``nonzero_arrays()``
     ``(i, j, value)`` arrays over the non-zero entries, row-major.
 
-Memory is O(B²): the backend is intended for graphs up to a few tens of
-thousands of vertices (``MAX_DENSE_BLOCKS``); beyond that the dict backend
-remains the storage of record.  Select it per run with
-``SBPConfig(matrix_backend="csr")``.
+Memory is O(B²), so the default ``"auto"`` policy stores a blockmodel
+densely only up to :data:`~repro.blockmodel.blockmodel.DENSE_BLOCK_LIMIT`
+blocks and uses ``"sparse_csr"`` above that.  ``SBPConfig(matrix_backend=
+"dense")`` forces it at any block count up to ``MAX_DENSE_BLOCKS``.
 """
 
 from __future__ import annotations
@@ -39,27 +37,24 @@ from repro.blockmodel.backend import (
     register_backend,
 )
 
-__all__ = ["CSRBlockMatrix", "MAX_DENSE_BLOCKS"]
+__all__ = ["DenseBlockMatrix", "MAX_DENSE_BLOCKS"]
 
 #: Largest block count the dense backend will allocate (8 GiB of int64 at the
 #: limit).  ``Blockmodel.from_graph`` starts with one block per vertex, so
-#: this effectively caps the graph size the dense CSR backend accepts; the
+#: this caps the graph size a forced ``"dense"`` run accepts; the
 #: ``"sparse_csr"`` backend stores only the non-zeros and has no such cap.
 MAX_DENSE_BLOCKS = 32768
 
 
-@register_backend("csr")
-class CSRBlockMatrix(BlockMatrixBackend):
+@register_backend("dense")
+class DenseBlockMatrix(BlockMatrixBackend):
     """A square integer block matrix backed by a dense numpy array.
 
-    Implements the same :class:`BlockMatrixBackend` protocol as
-    :class:`SparseBlockMatrix` (the backends are interchangeable inside
-    :class:`~repro.blockmodel.blockmodel.Blockmodel`) plus the batched
-    accessors used by the vectorized MCMC kernels.  Row and column sums are
-    maintained incrementally so marginals are O(1).
+    Implements the :class:`BlockMatrixBackend` protocol (interchangeable
+    with ``"sparse_csr"`` inside
+    :class:`~repro.blockmodel.blockmodel.Blockmodel`).  Row and column sums
+    are maintained incrementally so marginals are O(1).
     """
-
-    supports_batched_kernels = True
 
     __slots__ = ("num_blocks", "data", "_row_sums", "_col_sums")
 
@@ -68,7 +63,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
             raise ValueError("num_blocks must be non-negative")
         if num_blocks > MAX_DENSE_BLOCKS:
             raise ValueError(
-                f"the 'csr' backend allocates a dense {num_blocks}x{num_blocks} matrix; "
+                f"the 'dense' backend allocates a dense {num_blocks}x{num_blocks} matrix; "
                 f"the limit is {MAX_DENSE_BLOCKS} blocks — for larger graphs pick another "
                 f"registered matrix_backend ({backend_registry_hint()}); "
                 "'sparse_csr' keeps the vectorized kernels without the dense memory bound"
@@ -85,7 +80,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         block_src: np.ndarray,
         block_dst: np.ndarray,
         weights: np.ndarray,
-    ) -> "CSRBlockMatrix":
+    ) -> "DenseBlockMatrix":
         """Build from per-edge block endpoints (vectorized construction)."""
         out = cls(num_blocks)
         if np.size(block_src):
@@ -95,7 +90,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Scalar element access (SparseBlockMatrix-compatible)
+    # Scalar element access
     # ------------------------------------------------------------------
     def get(self, i: int, j: int) -> int:
         """Return entry ``(i, j)`` (0 when absent)."""
@@ -153,6 +148,16 @@ class CSRBlockMatrix(BlockMatrixBackend):
         i, j = np.nonzero(self.data)
         return i, j, self.data[i, j]
 
+    def csr_structure(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Row- and column-major CSR views of the non-zero entries."""
+        nz_i, nz_j, nz_v = self.nonzero_arrays()
+        col_j, col_i = np.nonzero(self.data.T)
+        row_ptr = np.zeros(self.num_blocks + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nz_i, minlength=self.num_blocks), out=row_ptr[1:])
+        col_ptr = np.zeros(self.num_blocks + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col_j, minlength=self.num_blocks), out=col_ptr[1:])
+        return (nz_j, nz_v, row_ptr), (col_i, self.data[col_i, col_j], col_ptr)
+
     def row_entries(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row ``i``'s non-zero ``(columns, values)``, ascending columns."""
         row = self.data[i]
@@ -166,7 +171,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return rows, col[rows]
 
     # ------------------------------------------------------------------
-    # Row / column views (snapshots, unlike the dict backend's live views)
+    # Row / column views (snapshots)
     # ------------------------------------------------------------------
     def row(self, i: int) -> Dict[int, int]:
         """Non-zero entries of row ``i`` as ``{column: count}`` (snapshot)."""
@@ -207,8 +212,8 @@ class CSRBlockMatrix(BlockMatrixBackend):
         for i, j, v in zip(i_arr.tolist(), j_arr.tolist(), v_arr.tolist()):
             yield i, j, v
 
-    def copy(self) -> "CSRBlockMatrix":
-        out = CSRBlockMatrix.__new__(CSRBlockMatrix)
+    def copy(self) -> "DenseBlockMatrix":
+        out = DenseBlockMatrix.__new__(DenseBlockMatrix)
         out.num_blocks = self.num_blocks
         out.data = self.data.copy()
         out._row_sums = self._row_sums.copy()
@@ -219,7 +224,7 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return self.data.copy()
 
     @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "CSRBlockMatrix":
+    def from_dense(cls, matrix: np.ndarray) -> "DenseBlockMatrix":
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("block matrix must be square")
@@ -241,8 +246,8 @@ class CSRBlockMatrix(BlockMatrixBackend):
             raise AssertionError("cached column sums out of sync")
 
     def __eq__(self, other: object) -> bool:
-        # Cross-backend comparison goes through the dense form so that a dict
-        # and a CSR matrix holding the same counts compare equal.
+        # Cross-backend comparison goes through the dense form so that a dense
+        # and a sparse matrix holding the same counts compare equal.
         if hasattr(other, "to_dense") and hasattr(other, "num_blocks"):
             return self.num_blocks == other.num_blocks and np.array_equal(
                 self.data, other.to_dense()
@@ -250,4 +255,4 @@ class CSRBlockMatrix(BlockMatrixBackend):
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CSRBlockMatrix(B={self.num_blocks}, nnz={self.nnz()})"
+        return f"DenseBlockMatrix(B={self.num_blocks}, nnz={self.nnz()})"

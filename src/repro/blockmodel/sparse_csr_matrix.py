@@ -1,13 +1,14 @@
 """True sparse (scipy-free CSR/COO) block matrix: the scalable backend.
 
 The paper's C++ implementation never densifies the ``B × B`` block matrix —
-at the scales it targets the matrix would not fit in memory.  The fast
-``"csr"`` backend of this reproduction *is* a dense numpy array, capped at
-:data:`~repro.blockmodel.csr_matrix.MAX_DENSE_BLOCKS` blocks, so the
-vectorized kernels were unavailable on exactly the large graphs where they
-matter most.  :class:`SparseCSRBlockMatrix` removes that ceiling: memory is
+at the scales it targets the matrix would not fit in memory.  The
+``"dense"`` backend of this reproduction *is* a dense numpy array, capped at
+:data:`~repro.blockmodel.dense_matrix.MAX_DENSE_BLOCKS` blocks.
+:class:`SparseCSRBlockMatrix` has no such ceiling: memory is
 ``O(nnz + B)`` and every batched primitive the kernels need is served from
-compressed-sparse arrays, without scipy.
+compressed-sparse arrays, without scipy.  The default ``"auto"`` policy
+uses it while the block count is above
+:data:`~repro.blockmodel.blockmodel.DENSE_BLOCK_LIMIT`.
 
 Representation
 --------------
@@ -37,7 +38,8 @@ Equivalence
 enumerate entries in exactly the ascending orders the other backends use,
 so the shared sequential-sum kernels produce bit-identical ΔDL floats and
 the differential suite (``tests/differential/``) passes unchanged against
-both the ``"dict"`` reference and the dense ``"csr"`` backend.
+the dense backend and the from-scratch reference of
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ _COMPACT_SHIFT = 2
 @register_backend("sparse_csr")
 class SparseCSRBlockMatrix(BlockMatrixBackend):
     """A square sparse integer matrix in CSR + CSC form with a COO buffer."""
-
-    supports_batched_kernels = True
 
     __slots__ = (
         "num_blocks",
@@ -163,9 +163,8 @@ class SparseCSRBlockMatrix(BlockMatrixBackend):
     def compact(self) -> None:
         """Fold the COO delta buffer into fresh CSR/CSC arrays.
 
-        Entries whose count reaches zero are dropped (matching the dict
-        backend's behaviour, and keeping ``nonzero_arrays`` strictly
-        positive).  Idempotent and logically a no-op: only the physical
+        Entries whose count reaches zero are dropped (keeping
+        ``nonzero_arrays`` strictly positive).  Idempotent and logically a no-op: only the physical
         layout changes.
         """
         if not self._delta_count:

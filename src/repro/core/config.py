@@ -50,15 +50,20 @@ class MatrixBackend:
     without touching this class.
     """
 
-    #: Hash-map rows + transpose — the reference implementation, O(nnz)
-    #: memory, works at any graph size.
-    DICT = "dict"
-    #: Dense numpy array with cached marginals — enables the vectorized
-    #: batch kernels; memory is O(B²), capped at ``MAX_DENSE_BLOCKS``.
-    CSR = "csr"
-    #: Scipy-free CSR/COO sparse arrays — the vectorized kernels without the
-    #: dense memory bound: O(nnz + B) memory at any block count.
+    #: The default policy: dense storage up to ``DENSE_BLOCK_LIMIT`` blocks,
+    #: ``sparse_csr`` above, re-chosen at every blockmodel rebuild.
+    AUTO = "auto"
+    #: Dense numpy array with cached marginals; memory is O(B²), capped at
+    #: ``MAX_DENSE_BLOCKS``.
+    DENSE = "dense"
+    #: Scipy-free CSR/COO sparse arrays: O(nnz + B) memory at any block
+    #: count.
     SPARSE_CSR = "sparse_csr"
+
+    #: Names earlier versions persisted, read back as ``AUTO`` by
+    #: :meth:`SBPConfig.from_dict`.  Every backend produces bit-identical
+    #: runs, so the mapping loses nothing.
+    RETIRED = ("dict", "csr")
 
     #: Import-time snapshot of the registry (the built-in backends).
     ALL = tuple(available_backends())
@@ -119,14 +124,13 @@ class SBPConfig:
         DC-SBP implementation of Table VI).
     matrix_backend:
         Blockmodel storage, validated against the backend registry
-        (:mod:`repro.blockmodel.backend`): ``"dict"`` (hash-map rows +
-        transpose, the reference implementation), ``"csr"`` (dense numpy
-        arrays with cached marginals, O(B²) memory, capped at
-        ``MAX_DENSE_BLOCKS``) or ``"sparse_csr"`` (scipy-free CSR/COO
-        arrays, O(nnz + B) memory at any block count).  On the array
-        backends the asynchronous Gibbs batches and the merge phase are
-        scored with vectorized whole-batch kernels instead of
-        per-candidate Python calls.
+        (:mod:`repro.blockmodel.backend`): ``"auto"`` (the default: dense
+        up to ``DENSE_BLOCK_LIMIT`` blocks, ``"sparse_csr"`` above, chosen
+        again at every rebuild), ``"dense"`` (numpy array with cached
+        marginals, O(B²) memory, capped at ``MAX_DENSE_BLOCKS``) or
+        ``"sparse_csr"`` (scipy-free CSR/COO arrays, O(nnz + B) memory at
+        any block count).  Every choice yields bit-identical runs; only
+        speed and memory differ.
     transport:
         Where the simulated MPI ranks physically run, validated against the
         transport registry (:mod:`repro.mpi.transport`): ``"threads"`` (one
@@ -163,7 +167,7 @@ class SBPConfig:
     mcmc_convergence_threshold: float = 1e-4
     min_blocks: int = 1
     mcmc_variant: str = MCMCVariant.HYBRID
-    matrix_backend: str = MatrixBackend.DICT
+    matrix_backend: str = MatrixBackend.AUTO
     transport: str = TransportName.THREADS
     hybrid_high_degree_fraction: float = 0.25
     hybrid_batch_size: int = 64
@@ -234,7 +238,8 @@ class SBPConfig:
 
         Unknown keys raise (listing the valid field names) rather than being
         silently dropped, so stale or typo'd persisted configs surface
-        immediately.
+        immediately.  The retired storage names
+        (:attr:`MatrixBackend.RETIRED`) load as ``"auto"``.
         """
         valid = {f.name for f in fields(cls)}
         unknown = set(data) - valid
@@ -242,6 +247,8 @@ class SBPConfig:
             raise ValueError(
                 f"unknown SBPConfig field(s) {sorted(unknown)}; valid fields: {sorted(valid)}"
             )
+        if data.get("matrix_backend") in MatrixBackend.RETIRED:
+            data = {**data, "matrix_backend": MatrixBackend.AUTO}
         return cls(**data)
 
     @classmethod
@@ -313,9 +320,8 @@ def config_preset(name: str) -> SBPConfig:
 
 #: ``"paper"`` is the Graph Challenge reference parameterisation (the library
 #: defaults); ``"fast"`` is the quick test/benchmark tuning of
-#: :meth:`SBPConfig.fast`; ``"large_graph"`` selects the true-sparse storage
-#: backend for graphs whose block count exceeds the dense backend's
-#: ``MAX_DENSE_BLOCKS`` ceiling.
+#: :meth:`SBPConfig.fast`; ``"large_graph"`` keeps the true-sparse storage
+#: backend at every block count (O(nnz + B) memory throughout).
 register_config_preset("paper", SBPConfig)
 register_config_preset("fast", SBPConfig.fast)
 register_config_preset(

@@ -28,7 +28,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.blockmodel.blockmodel import Blockmodel, resolve_merge_chain
-from repro.blockmodel.deltas import delta_dl_for_merge
 from repro.core.config import SBPConfig
 from repro.core.context import RunContext
 from repro.core.merges import best_segmented_merges
@@ -88,10 +87,9 @@ def merge_partial_pair(
     candidate targets are evaluated per community (a speed/quality knob the
     original implementation exposes through its sampling of merge targets).
 
-    The combine blockmodel uses ``config.matrix_backend``; on the CSR
-    backend every community's candidate targets are scored with one batched
-    :func:`delta_dl_for_merges` call (bit-identical deltas, so both backends
-    pick the same targets under the same seed).
+    The combine blockmodel uses ``config.matrix_backend``; every
+    community's candidate targets are scored in one batched
+    :func:`delta_dl_for_merges` call.
     """
     union = np.concatenate([first.vertices, second.vertices])
     offset = first.num_communities
@@ -114,7 +112,6 @@ def merge_partial_pair(
 
     first_blocks = np.arange(offset, dtype=np.int64)
     merge_target = np.arange(num_blocks, dtype=np.int64)
-    batched = getattr(blockmodel.matrix, "supports_batched_kernels", False)
     pair_targets: List[int] = []
     pair_segments: List[tuple] = []  # (block, start, end) into pair_targets
     for block in range(offset, num_blocks):
@@ -128,21 +125,10 @@ def merge_partial_pair(
             for target in candidates
             if not (blockmodel.block_sizes[int(target)] <= 0 and first_blocks.size > 1)
         ]
-        if batched:
-            start = len(pair_targets)
-            pair_targets.extend(kept)
-            pair_segments.append((block, start, len(pair_targets)))
-            continue
-        best_target = -1
-        best_delta = float("inf")
-        for target in kept:
-            delta = delta_dl_for_merge(blockmodel, block, target)
-            if delta < best_delta:
-                best_delta = delta
-                best_target = target
-        if best_target >= 0:
-            merge_target[block] = best_target
-    if batched and pair_targets:
+        start = len(pair_targets)
+        pair_targets.extend(kept)
+        pair_segments.append((block, start, len(pair_targets)))
+    if pair_targets:
         for block, target, _delta in best_segmented_merges(blockmodel, pair_segments, pair_targets):
             merge_target[block] = target
 
@@ -258,6 +244,7 @@ def dcsbp_rank_program(
     return {
         "assignment": final_assignment,
         "phase_seconds": timers.as_dict(),
+        "phase_cpu_seconds": timers.cpu_dict(),
         "num_island_vertices": island_total,
         "finetune_cycles": finetune_cycles,
         "history": finetune_history,
@@ -305,6 +292,7 @@ def divide_and_conquer_sbp(
         comm_stats=CommStats.aggregate(run.comm_stats),
         metadata={
             "per_rank_phase_seconds": per_rank_phases,
+            "per_rank_phase_cpu_seconds": [r["phase_cpu_seconds"] for r in run.results],
             "num_island_vertices": root["num_island_vertices"],
             "island_fraction": root["num_island_vertices"] / max(graph.num_vertices, 1),
             "finetune_cycles": root["finetune_cycles"],

@@ -131,16 +131,17 @@ def distributed_mcmc_phase(
         with timers.measure("mcmc_apply"):
             accepted_this_iteration = 0
             proposed_this_iteration = 0
+            remote_moves: List[tuple] = []
             for source_rank, entry in enumerate(gathered):
                 moves, proposed = entry if lifecycle_sync else (entry, 0)
                 accepted_this_iteration += len(moves)
                 proposed_this_iteration += int(proposed)
-                if source_rank == comm.rank:
-                    continue  # already applied during the local sweep
-                for vertex, block in moves:
-                    # Alg. 5 line 18: skip moves that are already in effect.
-                    if int(blockmodel.assignment[vertex]) != block:
-                        blockmodel.move_vertex(int(vertex), int(block))
+                if source_rank != comm.rank:  # own moves were applied during the sweep
+                    remote_moves.extend(moves)
+            # Alg. 5 line 18: moves already in effect change nothing.
+            if remote_moves:
+                vertices, blocks = zip(*remote_moves)
+                blockmodel.apply_moves(vertices, blocks)
             total_accepted += accepted_this_iteration
         # Alg. 5 line 22 recomputes the MDL on every rank; all replicas are
         # identical at this point, so in the *simulated* (single-process)
@@ -258,6 +259,7 @@ def edist_rank_program(
         "assignment": best.blockmodel.assignment.copy(),
         "description_length": best.description_length,
         "phase_seconds": timers.as_dict(),
+        "phase_cpu_seconds": timers.cpu_dict(),
         "history": history,
         "cycles": cycle,
         "stopped": root_ctx.stop_reason,
@@ -309,6 +311,7 @@ def edist(
         comm_stats=CommStats.aggregate(run.comm_stats),
         metadata={
             "per_rank_phase_seconds": per_rank_phases,
+            "per_rank_phase_cpu_seconds": [r["phase_cpu_seconds"] for r in run.results],
             "cycles": root["cycles"],
             **({"stopped": root["stopped"]} if root.get("stopped") else {}),
         },

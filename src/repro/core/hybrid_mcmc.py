@@ -34,8 +34,6 @@ from repro.core.config import SBPConfig
 from repro.core.mcmc import SweepResult, metropolis_hastings_sweep
 from repro.core.proposals import (
     acceptance_probabilities,
-    acceptance_probability,
-    evaluate_vertex_move,
     hastings_corrections,
     propose_block_for_vertex,
 )
@@ -75,49 +73,14 @@ def asynchronous_batch(
     """Evaluate a batch of proposals against a stale state, then apply them.
 
     Every proposal in the batch is generated and evaluated against the
-    blockmodel as it stood at the start of the batch.  Accepted moves are
-    applied afterwards; their recorded ΔDL values are the stale estimates
-    (the phase driver recomputes the exact DL at the end of the phase).
-    """
-    if getattr(blockmodel.matrix, "supports_batched_kernels", False):
-        return _vectorized_asynchronous_batch(blockmodel, batch, config, rng)
-    result = SweepResult()
-    # The blockmodel is not mutated while the batch is being evaluated, so it
-    # *is* the stale snapshot every proposal sees; no copy is needed.
-    accepted: List[Tuple[int, int, float]] = []
-    for v in batch:
-        v = int(v)
-        proposal_block = propose_block_for_vertex(blockmodel, v, rng)
-        current_block = int(blockmodel.assignment[v])
-        if proposal_block == current_block:
-            continue
-        result.proposed_moves += 1
-        evaluation = evaluate_vertex_move(blockmodel, v, proposal_block)
-        if rng.random() < acceptance_probability(evaluation, config.beta):
-            accepted.append((v, proposal_block, evaluation.delta_dl))
-    for v, target, delta in accepted:
-        if int(blockmodel.assignment[v]) != target:
-            blockmodel.move_vertex(v, target)
-        result.accepted_moves += 1
-        result.delta_dl += delta
-        result.moves.append((v, target))
-    return result
-
-
-def _vectorized_asynchronous_batch(
-    blockmodel: Blockmodel,
-    batch: Sequence[int],
-    config: SBPConfig,
-    rng: np.random.Generator,
-) -> SweepResult:
-    """Batched-backend version of :func:`asynchronous_batch`.
-
-    Proposals (and the acceptance uniforms) are still drawn per vertex in
-    exactly the same order as the scalar path — so a fixed seed yields the
-    same proposal sequence on both backends — but all ΔDL evaluations and
-    Hastings corrections of the batch are computed with the vectorized
-    kernels (:func:`repro.blockmodel.deltas.delta_dl_for_moves`) in a
-    handful of whole-batch numpy operations.
+    blockmodel as it stood at the start of the batch.  Proposals (and the
+    acceptance uniforms) are drawn per vertex, in vertex order; all ΔDL
+    evaluations and Hastings corrections of the batch are then computed
+    with the vectorized kernels
+    (:func:`repro.blockmodel.deltas.delta_dl_for_moves`) in a handful of
+    whole-batch numpy operations.  Accepted moves are applied afterwards;
+    their recorded ΔDL values are the stale estimates (the phase driver
+    recomputes the exact DL at the end of the phase).
     """
     result = SweepResult()
     assignment = blockmodel.assignment
@@ -132,8 +95,6 @@ def _vectorized_asynchronous_batch(
         result.proposed_moves += 1
         move_vertices.append(v)
         move_targets.append(proposal_block)
-        # The scalar path draws the acceptance uniform right after evaluating
-        # the (RNG-free) proposal; drawing it here preserves the stream.
         draws.append(rng.random())
     if not move_vertices:
         return result
@@ -145,25 +106,13 @@ def _vectorized_asynchronous_batch(
     probs = acceptance_probabilities(evaluation.delta_dl, hastings, config.beta)
     accepted_idx = np.flatnonzero(np.asarray(draws) < probs)
 
-    # The derived state (matrix, degrees, sizes) is a pure function of the
-    # assignment, so a large accepted set is cheaper to apply as one
-    # vectorized rebuild than as per-move incremental updates; small sets
-    # (the common case for the hybrid variant's 64-vertex batches) stay
-    # incremental.  Both paths produce identical integer state.
-    rebuild = accepted_idx.size >= 64 and accepted_idx.size * 100 >= blockmodel.num_vertices
-    if rebuild:
-        vs = np.asarray([move_vertices[i] for i in accepted_idx], dtype=np.int64)
-        ts = np.asarray([move_targets[i] for i in accepted_idx], dtype=np.int64)
-        blockmodel.assignment[vs] = ts  # vertices are unique within a batch
-        blockmodel.refresh_derived_state()
+    blockmodel.apply_moves(
+        np.asarray(move_vertices)[accepted_idx], np.asarray(move_targets)[accepted_idx]
+    )
     for idx in accepted_idx:
-        v = move_vertices[idx]
-        target = move_targets[idx]
-        if not rebuild and int(blockmodel.assignment[v]) != target:
-            blockmodel.move_vertex(v, target)
         result.accepted_moves += 1
         result.delta_dl += float(evaluation.delta_dl[idx])
-        result.moves.append((v, target))
+        result.moves.append((move_vertices[idx], move_targets[idx]))
     return result
 
 

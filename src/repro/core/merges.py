@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.blockmodel.blockmodel import Blockmodel, resolve_merge_chain
-from repro.blockmodel.deltas import delta_dl_for_merge, delta_dl_for_merges
+from repro.blockmodel.deltas import delta_dl_for_merges
 from repro.core.config import SBPConfig
 from repro.utils.rng import BatchedDrawRNG
 
@@ -55,12 +55,12 @@ def _propose_merge_target(
     ``t``); with probability ``B / (d_t + B)`` jump to a uniformly random
     other block, otherwise follow one of ``t``'s edges.  Falls back to a
     uniform random other block whenever the walk lands back on ``block`` or
-    on an empty neighbourhood.  ``rng`` is either a
-    :class:`numpy.random.Generator` (the reference path) or a
+    on an empty neighbourhood.  ``rng`` is a
+    :class:`numpy.random.Generator` or a
     :class:`~repro.utils.rng.BatchedDrawRNG` serving bit-identical draws
-    from bulk prefetches (the batched path).  ``cumsum_cache`` is forwarded
-    to :meth:`Blockmodel.sample_neighbor_block` (the batched path memoizes
-    the per-block cumulative sums across the phase's many proposals).
+    from bulk prefetches.  ``cumsum_cache`` is forwarded to
+    :meth:`Blockmodel.sample_neighbor_block` (it memoizes the per-block
+    cumulative sums across the phase's many proposals).
     """
     num_blocks = blockmodel.num_blocks
     if num_blocks <= 1:
@@ -93,10 +93,10 @@ def best_segmented_merges(
     ``targets`` in order: segment ``k`` proposes merging ``block`` into each
     of ``targets[start:end]``.  All candidates are scored with one
     :func:`delta_dl_for_merges` call; per segment the first minimum wins
-    (``np.argmin`` keeps the first of equal minima, matching the reference
-    paths' strict ``<`` update).  Returns ``(block, target, delta_dl)``
-    triples for every non-empty segment — used by the batched
-    :func:`propose_merges` and the DC-SBP combine step alike.
+    (``np.argmin`` keeps the first of equal minima, i.e. a strict ``<``
+    update).  Returns ``(block, target, delta_dl)`` triples for every
+    non-empty segment — used by :func:`propose_merges` and the DC-SBP
+    combine step alike.
     """
     targets_arr = np.asarray(targets, dtype=np.int64)
     blocks_arr = np.asarray([seg[0] for seg in segments], dtype=np.int64)
@@ -120,55 +120,18 @@ def propose_merges(
 ) -> List[MergeProposal]:
     """Best merge proposal for each of the given blocks (Alg. 1 lines 2-10).
 
-    Empty blocks are skipped (nothing to merge).  On a batched backend
-    (``supports_batched_kernels``: ``"csr"`` / ``"sparse_csr"``) the
-    candidate targets are drawn first — in the same RNG order as the
-    per-proposal reference path — and all of them are scored with one
-    whole-batch :func:`delta_dl_for_merges` call; the deltas are
-    bit-identical to the per-proposal path, so every backend selects the
-    same merges under the same seed.
-    """
-    if getattr(blockmodel.matrix, "supports_batched_kernels", False):
-        return _propose_merges_batched(blockmodel, blocks, config, rng)
-    proposals: List[MergeProposal] = []
-    sizes = blockmodel.block_sizes
-    for block in blocks:
-        block = int(block)
-        if sizes[block] <= 0:
-            continue
-        best_target = -1
-        best_delta = float("inf")
-        for _ in range(config.merge_proposals_per_block):
-            target = _propose_merge_target(blockmodel, block, rng)
-            if target == block:
-                continue
-            delta = delta_dl_for_merge(blockmodel, block, target)
-            if delta < best_delta:
-                best_delta = delta
-                best_target = target
-        if best_target >= 0:
-            proposals.append(MergeProposal(block, best_target, float(best_delta)))
-    return proposals
+    Empty blocks are skipped (nothing to merge).  The candidate targets are
+    drawn first, per block and per proposal, and all of them are scored
+    with one whole-batch :func:`delta_dl_for_merges` call through
+    :func:`best_segmented_merges`, whose tie-breaking keeps the first of
+    equal minima.
 
-
-def _propose_merges_batched(
-    blockmodel: Blockmodel,
-    blocks: Iterable[int],
-    config: SBPConfig,
-    rng: np.random.Generator,
-) -> List[MergeProposal]:
-    """Batched-backend :func:`propose_merges`: draw all targets, score once.
-
-    Proposal drawing consumes the RNG stream exactly like the reference
-    path (per block, per proposal), but the walk randoms are served from
-    bulk bit-stream prefetches: :class:`~repro.utils.rng.BatchedDrawRNG`
-    pulls thousands of raw words per ``random_raw`` call and replays
-    NumPy's own word-to-value maps, so the drawn targets — and therefore
-    the selections on the committed golden traces — stay bitwise identical
-    to per-call ``Generator`` draws while eliminating the per-draw
-    ``Generator`` dispatch overhead.  The ΔDL evaluation is batched through
-    :func:`best_segmented_merges` (whose tie-breaking matches the reference
-    path's strict ``<`` update).
+    The walk randoms are served from bulk bit-stream prefetches:
+    :class:`~repro.utils.rng.BatchedDrawRNG` pulls thousands of raw words
+    per ``random_raw`` call and replays NumPy's own word-to-value maps, so
+    the drawn targets — and therefore the selections on the committed
+    golden traces — stay bitwise identical to per-call ``Generator`` draws
+    while eliminating the per-draw ``Generator`` dispatch overhead.
     """
     sizes = blockmodel.block_sizes
     cumsum_cache: dict = {}

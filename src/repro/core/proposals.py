@@ -72,19 +72,28 @@ def propose_block_for_vertex(
     if num_blocks <= 1:
         return 0
     graph = blockmodel.graph
-    neighbors = graph.neighbors(vertex)
-    if neighbors.shape[0] == 0:
+    out_weights = graph.out_weights(vertex)
+    in_weights = graph.in_weights(vertex)
+    if out_weights.shape[0] + in_weights.shape[0] == 0:
         # Isolated vertex: uniform proposal keeps the chain ergodic.
         return int(rng.integers(num_blocks))
-    weights = graph.neighbor_weights(vertex)
-    total = int(weights.sum())
+    # Sample the combined neighbourhood (out-edges, then in-edges) by weight
+    # without concatenating it: a pick below the out-weight total falls in
+    # the out view, the rest in the in view.
+    out_cum = np.cumsum(out_weights)
+    in_cum = np.cumsum(in_weights)
+    out_total = int(out_cum[-1]) if out_cum.shape[0] else 0
+    total = out_total + (int(in_cum[-1]) if in_cum.shape[0] else 0)
     if total <= 0:
         # All incident edges have zero weight (possible on degenerate or
         # synthetically corrupted inputs): fall back to the uniform proposal
         # rather than asking the RNG for an integer below 0.
         return int(rng.integers(num_blocks))
     pick = int(rng.integers(total))
-    u = int(neighbors[np.searchsorted(np.cumsum(weights), pick, side="right")])
+    if pick < out_total:
+        u = int(graph.out_neighbors(vertex)[np.searchsorted(out_cum, pick, side="right")])
+    else:
+        u = int(graph.in_neighbors(vertex)[np.searchsorted(in_cum, pick - out_total, side="right")])
     t = int(blockmodel.assignment[u])
     # Scalar lookups instead of the block_total_degrees property, which
     # materialises a fresh length-B array on every access.

@@ -2,9 +2,10 @@
 
 SBP's inner loops iterate over a vertex's out-, in-, and combined
 neighbourhoods and need weighted degrees; they never mutate the graph.  The
-:class:`Graph` therefore builds three CSR-style structures once at
-construction time (out, in, and combined adjacency) and exposes cheap
-NumPy-array views into them.
+:class:`Graph` therefore builds two CSR-style structures once at
+construction time (out and in adjacency) and exposes cheap NumPy-array
+views into them; the combined neighbourhood is the out view followed by the
+in view.
 
 Parallel edges in the input are aggregated into integer edge weights, which
 is exactly how the degree-corrected SBM treats multi-edges.
@@ -65,7 +66,6 @@ class Graph:
         "num_edges",
         "_out",
         "_in",
-        "_both",
         "out_degrees",
         "in_degrees",
         "degrees",
@@ -114,10 +114,6 @@ class Graph:
         self.num_edges = int(weights.sum()) if weights.size else 0
         self._out = _CSR(*_build_csr(num_vertices, src, dst, weights))
         self._in = _CSR(*_build_csr(num_vertices, dst, src, weights))
-        both_src = np.concatenate([src, dst]) if src.size else src
-        both_dst = np.concatenate([dst, src]) if src.size else dst
-        both_w = np.concatenate([weights, weights]) if src.size else weights
-        self._both = _CSR(*_build_csr(num_vertices, both_src, both_dst, both_w))
 
         self.out_degrees = np.zeros(num_vertices, dtype=np.int64)
         self.in_degrees = np.zeros(num_vertices, dtype=np.int64)
@@ -186,11 +182,16 @@ class Graph:
         return self._in.weights(v)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Combined in+out neighbourhood of ``v`` (may repeat a vertex)."""
-        return self._both.neighbors(v)
+        """Combined neighbourhood of ``v``: out-neighbours, then in-neighbours.
+
+        May repeat a vertex.  Built on each call; hot paths read the out and
+        in views separately instead.
+        """
+        return np.concatenate([self._out.neighbors(v), self._in.neighbors(v)])
 
     def neighbor_weights(self, v: int) -> np.ndarray:
-        return self._both.weights(v)
+        """Weights matching :meth:`neighbors`, in the same order."""
+        return np.concatenate([self._out.weights(v), self._in.weights(v)])
 
     def out_adjacency(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)`` of the out-adjacency CSR structure.

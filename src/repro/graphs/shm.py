@@ -1,8 +1,8 @@
 """Shared-memory graph ingestion for the multiprocess transport.
 
 A :class:`~repro.graphs.graph.Graph` is immutable after construction and
-consists almost entirely of NumPy arrays (three CSR structures plus degree
-and ground-truth vectors).  Shipping it to worker processes by pickle would
+consists almost entirely of NumPy arrays (out- and in-adjacency CSR
+structures plus degree and ground-truth vectors).  Shipping it to worker processes by pickle would
 copy the whole edge list once per rank; instead, :func:`share_graph` packs
 every array into **one** ``multiprocessing.shared_memory`` segment and
 returns a :class:`SharedGraph` descriptor — a few hundred bytes of names,
@@ -34,7 +34,7 @@ __all__ = ["SharedGraph", "share_graph"]
 
 #: The Graph arrays exported into the segment, in a fixed order.  CSR
 #: structures are flattened to ``<view>_<component>`` entries.
-_CSR_VIEWS = ("out", "in", "both")
+_CSR_VIEWS = ("out", "in")
 _CSR_PARTS = ("indptr", "indices", "data")
 _VECTORS = ("out_degrees", "in_degrees", "degrees")
 

@@ -10,7 +10,10 @@ The model charges:
 * **compute** — the maximum, over ranks, of the rank's measured compute
   seconds (its own share of proposals/moves), optionally divided by an
   intra-node thread speedup to represent the OpenMP parallelism the paper's
-  implementation uses inside a rank;
+  implementation uses inside a rank.  Distributed runs charge each rank's
+  thread CPU seconds (``per_rank_phase_cpu_seconds``): ranks that share one
+  interpreter take turns at its lock, so a rank's wall time also counts the
+  other ranks' work;
 * **communication** — for every collective call, a latency term
   ``alpha · ceil(log2 R)`` plus a bandwidth term ``bytes / bandwidth`` using
   the per-rank payload bytes recorded by the communicator;
@@ -76,10 +79,12 @@ class RuntimeModelParams:
 
 
 def _per_rank_compute_seconds(result: SBPResult) -> List[float]:
-    """Rank-local compute seconds, one entry per rank."""
+    """Rank-local compute seconds, one entry per rank (CPU seconds if recorded)."""
     per_rank: Optional[List[Dict[str, float]]] = None
     if isinstance(result.metadata, dict):
-        per_rank = result.metadata.get("per_rank_phase_seconds")
+        per_rank = result.metadata.get("per_rank_phase_cpu_seconds") or result.metadata.get(
+            "per_rank_phase_seconds"
+        )
     if not per_rank:
         # Sequential run: everything measured is one rank's compute.
         return [sum(result.phase_seconds.get(p, 0.0) for p in _COMPUTE_PHASES)]

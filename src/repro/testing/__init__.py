@@ -8,13 +8,13 @@ scripts can reuse it.
 """
 
 from repro.testing.differential import (
-    BACKEND_PAIR,
+    ALL_BACKENDS,
     PhaseSnapshot,
     PhaseTrace,
     assert_results_identical,
     assert_traces_identical,
     golden_record,
-    run_backend_pair,
+    run_backends,
     run_dcsbp,
     run_edist,
     run_sequential,
@@ -22,13 +22,13 @@ from repro.testing.differential import (
 )
 
 __all__ = [
-    "BACKEND_PAIR",
+    "ALL_BACKENDS",
     "PhaseSnapshot",
     "PhaseTrace",
     "assert_results_identical",
     "assert_traces_identical",
     "golden_record",
-    "run_backend_pair",
+    "run_backends",
     "run_dcsbp",
     "run_edist",
     "run_sequential",

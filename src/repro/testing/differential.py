@@ -2,10 +2,10 @@
 
 The paper's headline guarantee for EDiSt is that the replicated blockmodels
 stay bit-identical across ranks; this repository extends the same discipline
-to its storage backends: under a fixed seed, every registered backend — the
-``"dict"`` reference, the dense vectorized ``"csr"`` array and the
-true-sparse ``"sparse_csr"`` representation (:data:`ALL_BACKENDS`) — must
-walk through *exactly* the same sequence of states: identical merge
+to its storage: under a fixed seed, every storage choice — the default
+``"auto"`` policy, the ``"dense"`` array and the true-sparse
+``"sparse_csr"`` representation (:data:`ALL_BACKENDS`) — must walk through
+*exactly* the same sequence of states: identical merge
 selections, identical assignments and identical description lengths at
 every phase boundary, through sequential SBP, DC-SBP and EDiSt alike.  The
 guarantee is enforced by tests (``tests/differential/``), not by
@@ -16,7 +16,7 @@ Two granularities are provided:
 * :func:`trace_phases` drives block-merge / MCMC cycles by hand and captures
   a :class:`PhaseSnapshot` at every phase boundary (including the raw merge
   proposals, whose ΔDL floats are compared **bitwise**);
-* :func:`run_backend_pair` runs a full pipeline (:func:`run_sequential`,
+* :func:`run_backends` runs a full pipeline (:func:`run_sequential`,
   :func:`run_dcsbp`, :func:`run_edist`) once per backend, and
   :func:`assert_results_identical` compares the end states plus the
   per-cycle history records (each of which is a phase-boundary DL).
@@ -52,7 +52,6 @@ from repro.utils.rng import RngRegistry
 
 __all__ = [
     "ALL_BACKENDS",
-    "BACKEND_PAIR",
     "REFERENCE_BACKEND",
     "CANDIDATE_BACKENDS",
     "PhaseSnapshot",
@@ -63,7 +62,6 @@ __all__ = [
     "run_dcsbp",
     "run_edist",
     "run_backends",
-    "run_backend_pair",
     "assert_results_identical",
     "assert_all_results_identical",
     "ALL_TRANSPORTS",
@@ -73,22 +71,20 @@ __all__ = [
     "golden_record",
 ]
 
-#: Every registered storage backend the differential suite compares: the
-#: hash-map reference, the vectorized dense array and the scipy-free
-#: true-sparse representation.  Mirrors the backend registry snapshot.
-ALL_BACKENDS: Tuple[str, ...] = ("dict", "csr", "sparse_csr")
+#: Every storage choice the differential suite compares: the default
+#: ``"auto"`` policy, the dense array and the scipy-free true-sparse
+#: representation.  Mirrors the backend registry snapshot.
+ALL_BACKENDS: Tuple[str, ...] = ("auto", "dense", "sparse_csr")
 
-#: The backend whose behaviour defines correctness.
-REFERENCE_BACKEND: str = "dict"
+#: The storage the others are compared against: the library default.  The
+#: golden files (``tests/differential/golden/``) pin it to fixed values.
+REFERENCE_BACKEND: str = "auto"
 
 #: The backends compared against the reference (pairwise identity against a
 #: common reference implies identity between the candidates too).
 CANDIDATE_BACKENDS: Tuple[str, ...] = tuple(
     backend for backend in ALL_BACKENDS if backend != REFERENCE_BACKEND
 )
-
-#: Legacy alias (PR 2 era): the original two-backend comparison.
-BACKEND_PAIR: Tuple[str, str] = ("dict", "csr")
 
 #: The multi-rank transports the cross-transport suite compares (``"self"``
 #: is excluded: it only ever runs single-rank launches).
@@ -131,7 +127,7 @@ def trace_phases(graph: Graph, config: SBPConfig, max_cycles: int = 4) -> PhaseT
     The cycle structure mirrors the sequential driver (propose → select and
     apply → MCMC, halving the block count each cycle) but stops after a fixed
     number of cycles instead of running the golden-ratio search, so the trace
-    covers the exploration phase deterministically on both backends.
+    covers the exploration phase deterministically on every backend.
     """
     rngs = RngRegistry(config.seed)
     blockmodel = Blockmodel.from_graph(graph, matrix_backend=config.matrix_backend)
@@ -225,17 +221,6 @@ def run_backends(
         backend: runner(graph, config.with_overrides(matrix_backend=backend), **kwargs)
         for backend in backends
     }
-
-
-def run_backend_pair(
-    runner: Callable[..., SBPResult],
-    graph: Graph,
-    config: SBPConfig,
-    **kwargs,
-) -> Tuple[SBPResult, SBPResult]:
-    """Run ``runner`` once per backend of :data:`BACKEND_PAIR` (legacy)."""
-    results = run_backends(runner, graph, config, backends=BACKEND_PAIR, **kwargs)
-    return results[BACKEND_PAIR[0]], results[BACKEND_PAIR[1]]
 
 
 def assert_results_identical(reference: SBPResult, candidate: SBPResult) -> None:

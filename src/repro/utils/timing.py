@@ -12,26 +12,32 @@ __all__ = ["Timer", "PhaseTimer"]
 
 @dataclass
 class Timer:
-    """A simple start/stop wall-clock timer.
+    """A simple start/stop wall-clock timer that also counts thread CPU time.
 
     ``elapsed`` accumulates across multiple start/stop cycles, which is how
     the SBP driver charges time to the block-merge and MCMC phases
-    separately.
+    separately.  ``cpu_elapsed`` accumulates the calling thread's CPU time
+    over the same windows: for ranks that share one interpreter it is the
+    rank's own work, where wall time also counts the other ranks' turns.
     """
 
     elapsed: float = 0.0
+    cpu_elapsed: float = 0.0
     _started_at: Optional[float] = field(default=None, repr=False)
+    _cpu_started_at: float = field(default=0.0, repr=False)
 
     def start(self) -> "Timer":
         if self._started_at is not None:
             raise RuntimeError("Timer already running")
         self._started_at = time.perf_counter()
+        self._cpu_started_at = time.thread_time()
         return self
 
     def stop(self) -> float:
         if self._started_at is None:
             raise RuntimeError("Timer is not running")
         self.elapsed += time.perf_counter() - self._started_at
+        self.cpu_elapsed += time.thread_time() - self._cpu_started_at
         self._started_at = None
         return self.elapsed
 
@@ -82,6 +88,10 @@ class PhaseTimer:
 
     def as_dict(self) -> Dict[str, float]:
         return {name: t.elapsed for name, t in sorted(self._timers.items())}
+
+    def cpu_dict(self) -> Dict[str, float]:
+        """Thread CPU seconds per phase (see :attr:`Timer.cpu_elapsed`)."""
+        return {name: t.cpu_elapsed for name, t in sorted(self._timers.items())}
 
     def merge(self, other: "PhaseTimer") -> "PhaseTimer":
         """Accumulate another PhaseTimer's buckets into this one (in place)."""

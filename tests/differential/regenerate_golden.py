@@ -5,7 +5,7 @@ Run from the repository root after an *intentional* behaviour change::
     PYTHONPATH=src python tests/differential/regenerate_golden.py
 
 The script runs the same graphs/config as ``tests/differential/conftest.py``
-on both backends, verifies they agree, and rewrites ``golden/*.json``.
+on every backend, verifies they agree, and rewrites ``golden/*.json``.
 """
 
 import json

@@ -1,8 +1,8 @@
 """Full-pipeline differential tests: all registered backends, pairwise.
 
 The acceptance criterion of the backend work: under a fixed seed the
-``"dict"`` reference, the dense vectorized ``"csr"`` backend and the
-true-sparse ``"sparse_csr"`` backend must produce bit-identical partitions
+default ``"auto"`` policy, the ``"dense"`` backend and the true-sparse
+``"sparse_csr"`` backend must produce bit-identical partitions
 and description lengths through sequential SBP, DC-SBP and EDiSt (threaded
 communicator), with the per-cycle history — each entry a phase-boundary
 observation — identical as well.  Every candidate backend is compared

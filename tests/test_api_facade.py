@@ -84,9 +84,9 @@ class TestConfigResolution:
         assert resolve_config(fast_config.to_dict()) == fast_config
 
     def test_overrides_apply_last(self):
-        config = resolve_config("fast", seed=1234, matrix_backend="csr")
+        config = resolve_config("fast", seed=1234, matrix_backend="dense")
         assert config.seed == 1234
-        assert config.matrix_backend == "csr"
+        assert config.matrix_backend == "dense"
         assert config.max_mcmc_iterations == SBPConfig.fast().max_mcmc_iterations
 
     def test_unknown_preset_lists_presets(self):

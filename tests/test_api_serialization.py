@@ -27,7 +27,7 @@ class TestConfigRoundTrip:
 
     def test_overridden_config_round_trips(self):
         config = SBPConfig.fast(seed=77).with_overrides(
-            matrix_backend="csr",
+            matrix_backend="dense",
             mcmc_variant="batch_gibbs",
             beta=2.5,
             dcsbp_merge_candidates=6,
@@ -45,6 +45,21 @@ class TestConfigRoundTrip:
         data["betaa"] = 1.0
         with pytest.raises(ValueError, match="betaa"):
             SBPConfig.from_dict(data)
+
+    @pytest.mark.parametrize("retired", ["dict", "csr"])
+    def test_from_dict_maps_retired_backends_to_auto(self, retired):
+        data = SBPConfig.fast(seed=5).to_dict()
+        data["matrix_backend"] = retired
+        assert SBPConfig.from_dict(data) == SBPConfig.fast(seed=5)
+        assert SBPConfig.fast().matrix_backend == "auto"
+
+    def test_from_dict_still_rejects_unknown_backends(self):
+        data = SBPConfig().to_dict()
+        data["matrix_backend"] = "cupy"
+        with pytest.raises(ValueError, match="'auto', 'dense', 'sparse_csr'"):
+            SBPConfig.from_dict(data)
+        with pytest.raises(ValueError, match="'auto'"):
+            SBPConfig(matrix_backend="dict")  # only persisted configs are mapped
 
     def test_from_dict_validates_values(self):
         data = SBPConfig().to_dict()
@@ -68,8 +83,8 @@ class TestConfigRoundTrip:
             register_config_preset("broken", lambda: "not a config")
 
     def test_from_preset_applies_overrides(self):
-        config = SBPConfig.from_preset("fast", seed=9, matrix_backend="csr")
-        assert config.matrix_backend == "csr"
+        config = SBPConfig.from_preset("fast", seed=9, matrix_backend="dense")
+        assert config.matrix_backend == "dense"
         assert config.seed == 9
 
 

@@ -1,11 +1,13 @@
-"""Property-based cross-backend tests: array backends vs SparseBlockMatrix.
+"""Property-based cross-backend tests: storage backends vs plain references.
 
 Random interleavings of the mutation and query APIs must leave every
-storage backend (dense ``csr`` and true-sparse ``sparse_csr``) in states
-identical to the hash-map reference: same matrix, same cached marginals,
-same entropy (description length, compared **exactly** — all backends emit
-identically-ordered non-zero arrays, so the vectorized likelihood reduction
-is bit-identical).
+storage backend (``dense`` and true-sparse ``sparse_csr``) in states
+identical to a plain numpy matrix and to the from-scratch
+:class:`~repro.core.reference.DenseBlockmodel`: same matrix, same
+marginals, same entropy (description length, compared **exactly** across
+backends — all backends emit identically-ordered non-zero arrays, so the
+vectorized likelihood reduction is bit-identical — and to the reference
+within float rounding).
 
 ``hypothesis`` is an optional dependency: the module skips cleanly when it
 is not installed.
@@ -19,23 +21,22 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.blockmodel.backend import get_backend  # noqa: E402
 from repro.blockmodel.blockmodel import Blockmodel  # noqa: E402
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix  # noqa: E402
+from repro.core.reference import DenseBlockmodel  # noqa: E402
 from repro.graphs.graph import Graph  # noqa: E402
 
 MATRIX_SIZE = 6
 
-#: The vectorized backends exercised against the hash-map reference.
-ARRAY_BACKENDS = ("csr", "sparse_csr")
+#: The storage backends exercised against the references.
+ARRAY_BACKENDS = ("dense", "sparse_csr")
 
 
-def _assert_matrices_equal(candidate, ref: SparseBlockMatrix) -> None:
-    assert np.array_equal(candidate.to_dense(), ref.to_dense())
-    assert np.array_equal(candidate.row_sums(), ref.row_sums())
-    assert np.array_equal(candidate.col_sums(), ref.col_sums())
-    assert candidate.total() == ref.total()
-    assert candidate.nnz() == ref.nnz()
+def _assert_matrices_equal(candidate, ref: np.ndarray) -> None:
+    assert np.array_equal(candidate.to_dense(), ref)
+    assert np.array_equal(candidate.row_sums(), ref.sum(axis=1))
+    assert np.array_equal(candidate.col_sums(), ref.sum(axis=0))
+    assert candidate.total() == int(ref.sum())
+    assert candidate.nnz() == int(np.count_nonzero(ref))
     candidate.check_consistent()
-    ref.check_consistent()
 
 
 # ----------------------------------------------------------------------
@@ -90,27 +91,27 @@ def graph_move_sequences(draw):
 @settings(max_examples=60, deadline=None)
 def test_matrix_op_interleavings_keep_backends_identical(backend, ops):
     candidate = get_backend(backend)(MATRIX_SIZE)
-    ref = SparseBlockMatrix(MATRIX_SIZE)
+    ref = np.zeros((MATRIX_SIZE, MATRIX_SIZE), dtype=np.int64)
     for op, payload in ops:
         if op == "add_many":
             rows = np.asarray([i for i, _, _ in payload], dtype=np.int64)
             cols = np.asarray([j for _, j, _ in payload], dtype=np.int64)
             deltas = np.asarray([w for _, _, w in payload], dtype=np.int64)
             candidate.add_many(rows, cols, deltas)
-            # The reference backend has no batched API: the same logical
-            # update goes through scalar adds.
+            # The reference applies the same logical update one entry at a
+            # time, so duplicate positions accumulate.
             for i, j, w in payload:
-                ref.add(i, j, w)
+                ref[i, j] += w
         elif op == "set":
             i, j, value = payload
             candidate.set(i, j, value)
-            ref.set(i, j, value)
+            ref[i, j] = value
         else:  # get_many
             rows = np.asarray([i for i, _ in payload], dtype=np.int64)
             cols = np.asarray([j for _, j in payload], dtype=np.int64)
             batched = candidate.get_many(rows, cols)
-            scalars = [ref.get(i, j) for i, j in payload]
-            assert batched.tolist() == scalars
+            scalars = [candidate.get(i, j) for i, j in payload]
+            assert batched.tolist() == scalars == [int(ref[i, j]) for i, j in payload]
         _assert_matrices_equal(candidate, ref)
 
 
@@ -123,16 +124,22 @@ def test_matrix_op_interleavings_keep_backends_identical(backend, ops):
 def test_move_vertex_interleavings_keep_backends_identical(backend, data):
     graph, assignment, num_blocks, moves = data
     bm_cand = Blockmodel.from_assignment(graph, assignment, num_blocks, matrix_backend=backend)
-    bm_ref = Blockmodel.from_assignment(graph, assignment, num_blocks, matrix_backend="dict")
+    bm_dense = Blockmodel.from_assignment(graph, assignment, num_blocks, matrix_backend="dense")
+    bm_ref = DenseBlockmodel(graph, assignment, num_blocks)
     _assert_matrices_equal(bm_cand.matrix, bm_ref.matrix)
     for vertex, target in moves:
         bm_cand.move_vertex(vertex, target)
+        bm_dense.move_vertex(vertex, target)
         bm_ref.move_vertex(vertex, target)
         assert np.array_equal(bm_cand.assignment, bm_ref.assignment)
         assert np.array_equal(bm_cand.block_out_degrees, bm_ref.block_out_degrees)
         assert np.array_equal(bm_cand.block_in_degrees, bm_ref.block_in_degrees)
-        assert np.array_equal(bm_cand.block_sizes, bm_ref.block_sizes)
+        assert np.array_equal(
+            bm_cand.block_sizes, np.bincount(bm_ref.assignment, minlength=num_blocks)
+        )
         _assert_matrices_equal(bm_cand.matrix, bm_ref.matrix)
         # All backends emit identically-ordered non-zero arrays, so the
         # vectorized entropy reduction must agree to the last bit.
-        assert bm_cand.description_length() == bm_ref.description_length()
+        dl = bm_cand.description_length()
+        assert dl == bm_dense.description_length()
+        assert dl == pytest.approx(bm_ref.description_length(), rel=1e-9, abs=1e-9)

@@ -298,7 +298,8 @@ class TestProposalRegressions:
         # reach ``rng.integers(0)``, which raises.  The weights are zeroed
         # behind the graph's back to simulate the degenerate state.
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        g._both.data[:] = 0
+        g._out.data[:] = 0
+        g._in.data[:] = 0
         bm = Blockmodel.from_graph(g)
         rng = np.random.default_rng(0)
         seen = {propose_block_for_vertex(bm, 1, rng) for _ in range(64)}

@@ -71,6 +71,29 @@ class TestNeighborhoods:
         combined = set(tiny_graph.neighbors(0).tolist())
         assert combined == {1, 2, 3}
 
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_combined_view_is_out_then_in(self, aggregate):
+        # Parallel edges, a self-loop and an isolated vertex, in scrambled order.
+        src = np.array([2, 0, 1, 0, 3, 2, 0, 1, 3])
+        dst = np.array([0, 1, 2, 1, 3, 1, 2, 0, 0])
+        w = np.array([1, 2, 1, 3, 4, 1, 1, 2, 5])
+        g = Graph(5, src, dst, w, aggregate=aggregate)
+        # Oracle: a stable sort of all edge endpoints by vertex, out-edges
+        # first, lists each vertex's out-edges then its in-edges, in order.
+        if aggregate:
+            src, dst, w = g.edge_arrays()
+        both_src = np.concatenate([src, dst])
+        order = np.argsort(both_src, kind="stable")
+        both_nbr = np.concatenate([dst, src])[order]
+        both_w = np.concatenate([w, w])[order]
+        starts = np.searchsorted(both_src[order], np.arange(6))
+        for v in range(5):
+            out_in = np.concatenate([g.out_neighbors(v), g.in_neighbors(v)])
+            out_in_w = np.concatenate([g.out_weights(v), g.in_weights(v)])
+            assert g.neighbors(v).tolist() == out_in.tolist() == both_nbr[starts[v]:starts[v + 1]].tolist()
+            assert g.neighbor_weights(v).tolist() == out_in_w.tolist() == both_w[starts[v]:starts[v + 1]].tolist()
+        assert g.neighbors(4).size == 0
+
     def test_degrees_are_consistent_with_edges(self, tiny_graph):
         assert tiny_graph.out_degrees.sum() == tiny_graph.num_edges
         assert tiny_graph.in_degrees.sum() == tiny_graph.num_edges

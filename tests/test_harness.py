@@ -54,6 +54,15 @@ class TestRuntimeModel:
         four = edist(planted_graph, 4, fast_config)
         assert modeled_runtime(four) < modeled_runtime(one) * 1.1
 
+    def test_edist_model_charges_rank_cpu_seconds(self, planted_graph, fast_config):
+        result = edist(planted_graph, 2, fast_config)
+        wall = result.metadata["per_rank_phase_seconds"]
+        cpu = result.metadata["per_rank_phase_cpu_seconds"]
+        assert [sorted(p) for p in cpu] == [sorted(p) for p in wall]
+        assert all(cpu[r][k] <= wall[r][k] + 1e-3 for r in range(2) for k in wall[r])
+        result.metadata["per_rank_phase_cpu_seconds"] = [dict.fromkeys(p, 0.0) for p in cpu]
+        assert modeled_runtime(result) < 0.01  # only the α-β communication term is left
+
     def test_dcsbp_model_charges_serial_finetune(self, planted_graph, fast_config):
         result = divide_and_conquer_sbp(planted_graph, 4, fast_config)
         params = RuntimeModelParams()

@@ -1,4 +1,4 @@
-"""Merge-phase edge cases, exercised on both storage backends.
+"""Merge-phase edge cases, exercised on every storage backend and policy.
 
 Covers the corners the differential suite's random graphs may not hit
 reliably: blocks with zero degree (isolated vertices), merge chains that
@@ -60,7 +60,7 @@ class TestZeroDegreeBlocks:
         merged = block_merge_phase(bm, num_merges=4, config=config, rng=np.random.default_rng(1))
         assert merged.num_blocks == 4
         merged.check_consistency()
-        assert merged.matrix_backend == backend
+        assert merged.matrix_policy == backend
 
 
 @pytest.mark.parametrize("backend", MATRIX_BACKENDS)
@@ -112,7 +112,7 @@ class TestSingleBlock:
         assert merged is not bm
         assert merged.num_blocks == 1
         assert np.array_equal(merged.assignment, bm.assignment)
-        assert merged.matrix_backend == backend
+        assert merged.matrix_policy == backend
 
     def test_self_merge_delta_is_zero(self, islands_graph, backend):
         bm = Blockmodel.from_graph(islands_graph, num_blocks=1, matrix_backend=backend)
@@ -120,7 +120,7 @@ class TestSingleBlock:
 
 
 def test_batched_kernel_zero_degree_blocks_match_scalar(islands_graph):
-    bm = Blockmodel.from_graph(islands_graph, matrix_backend="csr")
+    bm = Blockmodel.from_graph(islands_graph, matrix_backend="dense")
     pairs = [(6, 7), (6, 0), (0, 6), (7, 7), (2, 5)]
     fr = np.asarray([p[0] for p in pairs])
     to = np.asarray([p[1] for p in pairs])

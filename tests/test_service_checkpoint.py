@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,25 @@ class TestWarmResume:
         assert finished.resumed_from == str(path)
         assert finished.strategy == "sequential-warm"
         assert finished.result.metadata["resumed_from_cycle"] == 2
+
+    @pytest.mark.parametrize("retired", ["dict", "csr"])
+    def test_resume_under_persisted_config_naming_retired_backend(
+        self, planted_graph, fast_config, tmp_path, retired
+    ):
+        """A checkpoint resumed with the job config an older version recorded
+        (``matrix_backend`` naming a retired storage) runs on ``"auto"`` and
+        reproduces the resume under the current config bit for bit."""
+        path = tmp_path / "old.checkpoint.json"
+        partition(planted_graph, config=fast_config,
+                  observers=[CheckpointWriter(path, every=2), CancelAfter(3)])
+        persisted = json.loads(json.dumps({**fast_config.to_dict(), "matrix_backend": retired}))
+        with JobExecutor(max_workers=1, record_runs=False) as executor:
+            old = executor.wait(executor.resume(path, config=persisted).job_id, timeout=120)
+            new = executor.wait(executor.resume(path, config=fast_config).job_id, timeout=120)
+        assert old.state == new.state == JobState.SUCCEEDED
+        assert old.config == fast_config and old.config.matrix_backend == "auto"
+        assert np.array_equal(old.result.assignment, new.result.assignment)
+        assert old.result.description_length == new.result.description_length
 
     def test_executor_writes_checkpoints_for_jobs(self, planted_graph, fast_config, tmp_path):
         with JobExecutor(max_workers=1, record_runs=False,

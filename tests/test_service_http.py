@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -51,6 +52,22 @@ EDGES_BODY = {
 class TestRoutingAndErrors:
     def test_healthz(self, service):
         assert call(service.base_url + "/healthz") == (200, {"status": "ok"})
+
+    def test_keep_alive_round_trips_do_not_stall(self, service):
+        """Responses go out without waiting on the client's delayed ACK: 20
+        round trips on one connection take well under the ~40 ms per
+        response that Nagle's algorithm adds to split header/body sends."""
+        connection = http.client.HTTPConnection(service.host, service.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert (response.status, json.loads(response.read())) == (200, {"status": "ok"})
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive round trips took {elapsed:.3f} s"
 
     def test_unknown_route_404(self, service):
         status, payload = call(service.base_url + "/nope")

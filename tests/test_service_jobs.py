@@ -3,8 +3,11 @@ cancellation, timeouts, progress/ETA, and registry recording."""
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +125,24 @@ class GatedStrategy:
         with self.lock:
             self.counters["running"] -= 1
         return SimpleNamespace(runtime_seconds=0.0, phase_seconds={})
+
+
+class SweepingStrategy:
+    """Emits one sweep event, then blocks until released; stops when told."""
+
+    name = "sweeping"
+
+    def __init__(self, release: threading.Event, swept: threading.Event):
+        self.release = release
+        self.swept = swept
+
+    def run(self, graph, config, *, num_ranks=1, run_context=None):
+        context = run_context or RunContext()
+        context.emit_mcmc_sweep(sweep=1, accepted_moves=0, proposed_moves=0, delta_dl=0.0)
+        self.swept.set()
+        assert self.release.wait(timeout=30), "gate never released"
+        return SimpleNamespace(runtime_seconds=0.0, phase_seconds={},
+                               metadata={"stopped": context.stop_reason})
 
 
 class CooperativeStrategy:
@@ -344,6 +365,92 @@ class TestExecutorRealRuns:
         assert runs[0].mode == "service"
         assert runs[0].strategy == "sequential"
         assert runs[0].wall_seconds > 0
+
+    def test_concurrent_jobs_take_turns_and_match_direct_runs(self, planted_graph, fast_config):
+        from repro.api import partition
+
+        direct = partition(planted_graph, strategy="sequential", config=fast_config)
+        with JobExecutor(max_workers=2, record_runs=False) as executor:
+            jobs = [executor.submit(planted_graph, config=fast_config) for _ in range(3)]
+            finished = [executor.wait(job.job_id, timeout=120) for job in jobs]
+        for job in finished:
+            assert job.state == JobState.SUCCEEDED
+            assert np.array_equal(job.result.assignment, direct.assignment)
+            assert job.result.description_length == direct.description_length
+
+    def test_turns_keep_jobs_between_events_exclusive_under_stress(self, tiny_graph):
+        """After its first event a job computes only while holding the turn:
+        with more workers than cores and a short switch interval, no two
+        jobs are ever between events at once."""
+        lock, state = threading.Lock(), {"active": 0, "peak": 0}
+
+        class Stress:
+            name = "stress"
+
+            def run(self, graph, config, *, num_ranks=1, run_context=None):
+                for sweep in range(20):
+                    run_context.emit_mcmc_sweep(
+                        sweep=sweep, accepted_moves=0, proposed_moves=0, delta_dl=0.0
+                    )
+                    with lock:
+                        state["active"] += 1
+                        state["peak"] = max(state["peak"], state["active"])
+                    sum(range(2000))
+                    with lock:
+                        state["active"] -= 1
+                return SimpleNamespace(runtime_seconds=0.0, phase_seconds={})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobExecutor(max_workers=4, record_runs=False) as executor:
+                jobs = [executor.submit(tiny_graph, strategy=Stress()) for _ in range(8)]
+                finished = [executor.wait(job.job_id, timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(job.state == JobState.SUCCEEDED for job in finished)
+        assert state["peak"] == 1
+
+    def test_job_waiting_for_its_turn_still_cancels(self, tiny_graph):
+        release, swept = threading.Event(), threading.Event()
+        with JobExecutor(max_workers=2, record_runs=False) as executor:
+            holder = executor.submit(tiny_graph, strategy=SweepingStrategy(release, swept))
+            assert swept.wait(timeout=10)  # holder has the turn and keeps it
+            second_swept = threading.Event()
+            waiter = executor.submit(tiny_graph, strategy=SweepingStrategy(release, second_swept))
+            time.sleep(0.2)
+            assert not second_swept.is_set()  # blocked at its first event
+            assert waiter.state == JobState.RUNNING
+            executor.cancel(waiter.job_id)
+            release.set()
+            assert executor.wait(holder.job_id, timeout=30).state == JobState.SUCCEEDED
+            finished = executor.wait(waiter.job_id, timeout=30)
+        assert finished.state == JobState.CANCELLED
+        assert finished.result.metadata["stopped"] == "cancelled"
+
+    def test_finished_job_holds_no_run_handle(self, tiny_graph, fast_config):
+        release = threading.Event()
+        log, lock, counters = [], threading.Lock(), {}
+        with JobExecutor(max_workers=1, record_runs=False) as executor:
+            gated = executor.submit(tiny_graph, strategy=GatedStrategy(release, log, lock, counters, "g"))
+            queued = executor.submit(tiny_graph, config=fast_config)
+            cancelled = executor.submit(tiny_graph, config=fast_config, priority=-1)
+            handles = [weakref.ref(executor._handles[j.job_id]) for j in (gated, queued, cancelled)]
+            executor.cancel(cancelled.job_id)
+            release.set()
+            for job in (gated, queued):
+                executor.wait(job.job_id, timeout=60)
+            assert [j.state for j in (gated, queued, cancelled)] == [
+                JobState.SUCCEEDED, JobState.SUCCEEDED, JobState.CANCELLED
+            ]
+            gc.collect()
+            assert [ref() for ref in handles] == [None, None, None]
+            assert not executor._handles and not executor._trackers
+            # Status views still report each job's final progress.
+            assert executor.progress(queued.job_id).progress == 1.0
+            assert executor.progress(cancelled.job_id).cycles == 0
+            executor.cancel(queued.job_id)  # a no-op on a finished job
+            assert queued.state == JobState.SUCCEEDED
 
     def test_preset_string_recorded_as_provenance(self, tiny_graph):
         with JobExecutor(max_workers=1, record_runs=False) as executor:

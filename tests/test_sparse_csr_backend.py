@@ -14,10 +14,9 @@ import pytest
 
 from repro.api import partition
 from repro.blockmodel.blockmodel import Blockmodel
-from repro.blockmodel.csr_matrix import CSRBlockMatrix, MAX_DENSE_BLOCKS
+from repro.blockmodel.dense_matrix import DenseBlockMatrix, MAX_DENSE_BLOCKS
 from repro.blockmodel.deltas import delta_dl_for_move, delta_dl_for_moves
 from repro.blockmodel.sparse_csr_matrix import SparseCSRBlockMatrix
-from repro.blockmodel.sparse_matrix import SparseBlockMatrix
 from repro.core.config import SBPConfig
 from repro.core.proposals import hastings_correction, hastings_corrections
 from repro.core.sbp import stochastic_block_partition
@@ -47,11 +46,11 @@ def _ring_graph(num_vertices: int) -> Graph:
 
 
 class TestSparseCSRBlockMatrix:
-    def test_scalar_api_matches_dict_backend(self):
+    def test_scalar_api_matches_dense_backend(self):
         rng = np.random.default_rng(0)
         dense = rng.integers(0, 5, size=(6, 6))
         sparse = SparseCSRBlockMatrix.from_dense(dense)
-        ref = SparseBlockMatrix.from_dense(dense)
+        ref = DenseBlockMatrix.from_dense(dense)
         assert sparse.total() == ref.total()
         assert sparse.nnz() == ref.nnz()
         for i in range(6):
@@ -67,22 +66,18 @@ class TestSparseCSRBlockMatrix:
     def test_cross_backend_equality(self):
         dense = np.array([[0, 2], [3, 1]])
         sparse = SparseCSRBlockMatrix.from_dense(dense)
-        ref = SparseBlockMatrix.from_dense(dense)
-        csr = CSRBlockMatrix.from_dense(dense)
+        ref = DenseBlockMatrix.from_dense(dense)
         assert sparse == ref and ref == sparse
-        assert sparse == csr and csr == sparse
         sparse.add(0, 0, 1)
-        assert sparse != ref
-        assert sparse != csr
+        assert sparse != ref and ref != sparse
 
     def test_nonzero_arrays_ordering_matches_other_backends(self):
         rng = np.random.default_rng(8)
         dense = rng.integers(0, 3, size=(9, 9))
         sparse = SparseCSRBlockMatrix.from_dense(dense)
-        for other in (SparseBlockMatrix.from_dense(dense), CSRBlockMatrix.from_dense(dense)):
-            i1, j1, v1 = sparse.nonzero_arrays()
-            i2, j2, v2 = other.nonzero_arrays()
-            assert np.array_equal(i1, i2) and np.array_equal(j1, j2) and np.array_equal(v1, v2)
+        i1, j1, v1 = sparse.nonzero_arrays()
+        i2, j2, v2 = DenseBlockMatrix.from_dense(dense).nonzero_arrays()
+        assert np.array_equal(i1, i2) and np.array_equal(j1, j2) and np.array_equal(v1, v2)
 
     def test_delta_buffer_reads_before_compaction(self):
         m = SparseCSRBlockMatrix(4)
@@ -102,7 +97,7 @@ class TestSparseCSRBlockMatrix:
     def test_explicit_compaction_is_a_logical_noop(self):
         rng = np.random.default_rng(3)
         m = SparseCSRBlockMatrix(8)
-        ref = SparseBlockMatrix(8)
+        ref = DenseBlockMatrix(8)
         for _ in range(40):
             i, j, d = int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(0, 4))
             m.add(i, j, d)
@@ -116,7 +111,7 @@ class TestSparseCSRBlockMatrix:
     def test_auto_compaction_mid_sweep_preserves_state(self):
         """Mutations past the buffer threshold trigger compaction invisibly."""
         m = SparseCSRBlockMatrix(40)
-        ref = SparseBlockMatrix(40)
+        ref = DenseBlockMatrix(40)
         rng = np.random.default_rng(5)
         compacted_at_least_once = False
         for step in range(500):
@@ -220,15 +215,15 @@ class TestBeyondDenseLimit:
     def test_dense_backend_rejects_and_names_registry(self):
         """The dense over-limit error must point at the backend registry."""
         with pytest.raises(ValueError) as excinfo:
-            CSRBlockMatrix(MAX_DENSE_BLOCKS + 1)
+            DenseBlockMatrix(MAX_DENSE_BLOCKS + 1)
         message = str(excinfo.value)
-        for backend in ("'dict'", "'csr'", "'sparse_csr'"):
+        for backend in ("'auto'", "'dense'", "'sparse_csr'"):
             assert backend in message
 
     def test_sparse_accepts_block_counts_beyond_dense_limit(self):
         graph = _ring_graph(MAX_DENSE_BLOCKS + 8)
         with pytest.raises(ValueError):
-            Blockmodel.from_graph(graph, matrix_backend="csr")
+            Blockmodel.from_graph(graph, matrix_backend="dense")
         bm = Blockmodel.from_graph(graph, matrix_backend="sparse_csr")
         assert bm.num_blocks == MAX_DENSE_BLOCKS + 8
         assert bm.matrix.total() == graph.num_edges
@@ -268,29 +263,29 @@ class TestBeyondDenseLimit:
 class TestBatchedKernelsOnSparse:
     def test_delta_dl_for_moves_matches_scalar(self, equiv_graph):
         bm_sparse = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="sparse_csr")
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dict")
+        bm_dense = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dense")
         rng = np.random.default_rng(3)
         vertices = rng.integers(0, equiv_graph.num_vertices, size=80)
         targets = rng.integers(0, 12, size=80)
         batch = delta_dl_for_moves(bm_sparse, vertices, targets)
         for k, (v, t) in enumerate(zip(vertices.tolist(), targets.tolist())):
-            scalar = delta_dl_for_move(bm_dict, v, t)
+            scalar = delta_dl_for_move(bm_dense, v, t)
             assert batch.delta_dl[k] == pytest.approx(scalar.delta_dl, abs=1e-9)
 
     def test_hastings_corrections_match_scalar(self, equiv_graph):
         bm_sparse = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="sparse_csr")
-        bm_dict = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dict")
+        bm_dense = Blockmodel.from_graph(equiv_graph, num_blocks=12, matrix_backend="dense")
         rng = np.random.default_rng(4)
         vertices = rng.integers(0, equiv_graph.num_vertices, size=80)
         targets = rng.integers(0, 12, size=80)
         batch = delta_dl_for_moves(bm_sparse, vertices, targets)
         corrections = hastings_corrections(bm_sparse, batch)
         for k, (v, t) in enumerate(zip(vertices.tolist(), targets.tolist())):
-            move = delta_dl_for_move(bm_dict, v, t)
+            move = delta_dl_for_move(bm_dense, v, t)
             if move.from_block == move.to_block:
                 assert corrections[k] == 1.0
                 continue
-            scalar = hastings_correction(bm_dict, move.counts, move.from_block, move.to_block)
+            scalar = hastings_correction(bm_dense, move.counts, move.from_block, move.to_block)
             assert corrections[k] == pytest.approx(scalar, abs=1e-9)
 
     def test_kernels_see_buffered_mutations(self, equiv_graph):
@@ -313,16 +308,16 @@ class TestSparseBackendEquivalence:
     @pytest.mark.parametrize("variant", ["metropolis_hastings", "batch_gibbs", "hybrid"])
     def test_identical_partitions_and_dl(self, equiv_graph, variant):
         config = SBPConfig.fast(seed=7).with_overrides(mcmc_variant=variant)
-        result_dict = stochastic_block_partition(
-            equiv_graph, config.with_overrides(matrix_backend="dict")
+        result_dense = stochastic_block_partition(
+            equiv_graph, config.with_overrides(matrix_backend="dense")
         )
         result_sparse = stochastic_block_partition(
             equiv_graph, config.with_overrides(matrix_backend="sparse_csr")
         )
         assert np.array_equal(
-            result_dict.blockmodel.assignment, result_sparse.blockmodel.assignment
+            result_dense.blockmodel.assignment, result_sparse.blockmodel.assignment
         )
-        assert result_sparse.description_length == result_dict.description_length
+        assert result_sparse.description_length == result_dense.description_length
         assert result_sparse.blockmodel.matrix_backend == "sparse_csr"
 
     def test_large_graph_preset_selects_sparse_backend(self):
