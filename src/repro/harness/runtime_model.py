@@ -1,19 +1,22 @@
 """An α-β critical-path runtime model for the simulated distributed runs.
 
-The simulated MPI ranks all share one Python interpreter, so measured
+The simulated MPI ranks may share one Python interpreter, so measured
 wall-clock equals (roughly) the *sum* of every rank's work.  What the paper's
 strong-scaling figures need is the time a real cluster would take:
 the slowest rank's compute time per phase, plus the cost of the collectives.
+The model therefore charges rank compute in *CPU* seconds, not wall seconds.
 
 The model charges:
 
 * **compute** — the maximum, over ranks, of the rank's measured compute
   seconds (its own share of proposals/moves), optionally divided by an
   intra-node thread speedup to represent the OpenMP parallelism the paper's
-  implementation uses inside a rank.  Distributed runs charge each rank's
-  thread CPU seconds (``per_rank_phase_cpu_seconds``): ranks that share one
-  interpreter take turns at its lock, so a rank's wall time also counts the
-  other ranks' work;
+  implementation uses inside a rank.  Distributed runs charge the CPU
+  seconds of each rank's own thread (``per_rank_phase_cpu_seconds``): ranks
+  that share one interpreter take turns at its lock, so a rank's wall time
+  also counts the other ranks' work.  Work a rank hands to other threads
+  is not counted.  A sequential run is one rank, charged its wall phase
+  seconds;
 * **communication** — for every collective call, a latency term
   ``alpha · ceil(log2 R)`` plus a bandwidth term ``bytes / bandwidth`` using
   the per-rank payload bytes recorded by the communicator;
@@ -79,12 +82,10 @@ class RuntimeModelParams:
 
 
 def _per_rank_compute_seconds(result: SBPResult) -> List[float]:
-    """Rank-local compute seconds, one entry per rank (CPU seconds if recorded)."""
+    """Rank-local compute seconds, one entry per rank (CPU seconds for ranks)."""
     per_rank: Optional[List[Dict[str, float]]] = None
     if isinstance(result.metadata, dict):
-        per_rank = result.metadata.get("per_rank_phase_cpu_seconds") or result.metadata.get(
-            "per_rank_phase_seconds"
-        )
+        per_rank = result.metadata.get("per_rank_phase_cpu_seconds")
     if not per_rank:
         # Sequential run: everything measured is one rank's compute.
         return [sum(result.phase_seconds.get(p, 0.0) for p in _COMPUTE_PHASES)]

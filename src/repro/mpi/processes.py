@@ -46,6 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue
+import threading
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -63,6 +64,12 @@ from repro.mpi.transport import (
 )
 
 __all__ = ["ProcessCommunicator", "ProcessTransport"]
+
+#: Held while a launch creates or unlinks shared memory and while it forks
+#: its ranks.  Both take the shared-memory resource tracker's lock; a rank
+#: forked while another launcher thread holds that lock inherits it locked
+#: and hangs when it attaches its graph.
+_LAUNCH_LOCK = threading.Lock()
 
 
 def _mp_context():
@@ -371,6 +378,7 @@ class ProcessTransport(Transport):
     workers.
     """
 
+    shares_interpreter = False
     #: How long the launcher blocks on its service queues per poll.
     _POLL_SECONDS = 0.02
 
@@ -409,8 +417,9 @@ class ProcessTransport(Transport):
                 return _BridgedContextMarker
             return obj
 
-        args = tuple(_export(a) for a in args)
-        kwargs = {k: _export(v) for k, v in kwargs.items()}
+        with _LAUNCH_LOCK:
+            args = tuple(_export(a) for a in args)
+            kwargs = {k: _export(v) for k, v in kwargs.items()}
 
         world = _ProcessWorld(ctx, num_ranks, timeout, bridge)
         procs = [
@@ -423,16 +432,18 @@ class ProcessTransport(Transport):
             for rank in range(num_ranks)
         ]
         try:
-            for p in procs:
-                p.start()
+            with _LAUNCH_LOCK:
+                for p in procs:
+                    p.start()
             collected = self._wait(procs, world, real_ctx)
         finally:
             for p in procs:
                 if p.is_alive():  # pragma: no cover - only on launcher errors
                     p.terminate()
                 p.join()
-            for shared in shared_graphs:
-                shared.close()
+            with _LAUNCH_LOCK:
+                for shared in shared_graphs:
+                    shared.close()
 
         results: List[Any] = [None] * num_ranks
         stats: List[CommStats] = [CommStats(rank=r) for r in range(num_ranks)]

@@ -130,6 +130,8 @@ class Transport(abc.ABC):
 
     #: Registry name, set by :func:`register_transport`.
     name: str = "abstract"
+    #: Whether the ranks run in the launching interpreter (as threads).
+    shares_interpreter: bool = True
 
     @abc.abstractmethod
     def launch(

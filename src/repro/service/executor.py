@@ -32,14 +32,14 @@ import itertools
 import threading
 import time
 import warnings
-from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.facade import ConfigLike, resolve_config
 from repro.api.handle import RunHandle
 from repro.api.registry import Strategy, get_strategy
-from repro.core.context import RunObserver
+from repro.core.context import RunContext, RunObserver
+from repro.mpi.transport import get_transport
 from repro.registry import RunRecord, append_run, collect_provenance, peak_rss_mb
 from repro.service.checkpoint import CheckpointWriter, resume_strategy
 from repro.service.job import Job, JobState, new_job_id
@@ -54,41 +54,53 @@ SERVICE_EXPERIMENT = "service_jobs"
 
 
 class _Turns:
-    """Running jobs take turns at phase boundaries, not at every lock switch.
+    """Jobs that compute in this interpreter take turns at phase boundaries.
 
-    The numpy kernels release the interpreter lock on every large array
-    operation.  Two workers computing at once then hand the lock back and
-    forth thousands of times per second; on a 2-vCPU host that cost each
-    job 40-100% more CPU time (2-4 workers, V=160 jobs).  Here a job takes the
-    turn at its first phase-boundary event and, once it has held the turn
-    for :attr:`QUANTUM_S`, passes it on first come first served at its next
-    event another job is waiting at, so concurrent jobs interleave in slices
-    of whole MCMC sweeps and merge phases.  Strategies that emit no events
-    never take a turn.
+    The numpy kernels release the interpreter lock on every sort and every
+    array operation over ~500 elements, about 10,000 times per V=160 job.
+    Each release wakes the other workers waiting for the lock, so two to
+    four jobs computing at once cost each job 40-100% more CPU than one job
+    alone.  Here a job takes the turn at its first phase-boundary event
+    and, once it has held it for :attr:`QUANTUM_S`, passes it at its next
+    event to the highest-priority waiting job (first come first served
+    among equal priorities).  A waiting job stops waiting once its run is
+    cancelled or past its deadline.  Strategies that emit no events never
+    take a turn.
     """
 
-    #: Shortest hold before the turn is passed on.  Passing at every event
-    #: (one per sweep, ~77 per V=160 job) cost the 2-worker pool a further
-    #: ~8% of throughput in switches between the jobs.
+    #: Shortest hold before the turn is passed on.  Passing it at every
+    #: event (one per sweep, ~77 per V=160 job) cost the 2-worker pool a
+    #: further ~8% of throughput in switches between the jobs.
     QUANTUM_S = 0.1
+    #: How often a waiting job checks whether its run was stopped.
+    POLL_S = 0.05
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._holder: Optional[str] = None
         self._held_since = 0.0
-        self._waiting: deque = deque()
+        self._waiting: List[Tuple[int, int, str]] = []  # heap, like the job queue
+        self._seq = itertools.count()
 
-    def pass_turn(self, job_id: str) -> None:
+    def take(self, job: Job, context: RunContext) -> None:
         with self._cond:
-            if self._holder == job_id:
+            if self._holder == job.job_id:
                 if not self._waiting or time.perf_counter() - self._held_since < self.QUANTUM_S:
                     return
                 self._holder = None
                 self._cond.notify_all()
-            self._waiting.append(job_id)
-            self._cond.wait_for(lambda: self._holder is None and self._waiting[0] == job_id)
-            self._waiting.popleft()
-            self._holder = job_id
+            entry = (-job.priority, next(self._seq), job.job_id)
+            heapq.heappush(self._waiting, entry)
+            while self._holder is not None or self._waiting[0] != entry:
+                if context.should_stop():
+                    # Run without the turn: the job winds down at its next check.
+                    self._waiting.remove(entry)
+                    heapq.heapify(self._waiting)
+                    self._cond.notify_all()
+                    return
+                self._cond.wait(self.POLL_S)
+            heapq.heappop(self._waiting)
+            self._holder = job.job_id
             self._held_since = time.perf_counter()
 
     def release(self, job_id: str) -> None:
@@ -102,18 +114,18 @@ class _Turns:
 class _TakeTurns(RunObserver):
     """One job's phase-boundary events, routed to :class:`_Turns`."""
 
-    def __init__(self, turns: _Turns, job_id: str) -> None:
+    def __init__(self, turns: _Turns, job: Job) -> None:
         self._turns = turns
-        self._job_id = job_id
+        self._job = job
 
     def on_cycle(self, event) -> None:
-        self._turns.pass_turn(self._job_id)
+        self._turns.take(self._job, event.context)
 
     def on_merge_phase(self, event) -> None:
-        self._turns.pass_turn(self._job_id)
+        self._turns.take(self._job, event.context)
 
     def on_mcmc_sweep(self, event) -> None:
-        self._turns.pass_turn(self._job_id)
+        self._turns.take(self._job, event.context)
 
 
 class JobExecutor:
@@ -227,9 +239,9 @@ class JobExecutor:
             preset=preset,
         )
         tracker = ProgressTracker(graph.num_vertices, min_blocks=resolved_config.min_blocks)
-        job_observers: List[RunObserver] = [
-            tracker, *observers, _TakeTurns(self._turns, job.job_id)
-        ]
+        job_observers: List[RunObserver] = [tracker, *observers]
+        if num_ranks == 1 or get_transport(resolved_config.transport).shares_interpreter:
+            job_observers.append(_TakeTurns(self._turns, job))
         if effective_every > 0:
             checkpoint_path = self.checkpoint_dir / f"{job.job_id}.checkpoint.json"
             job.checkpoint_path = str(checkpoint_path)

@@ -25,6 +25,7 @@ from repro.service import (
     percentile,
     service_metrics,
 )
+from repro.service.executor import _Turns
 
 
 def make_job(**overrides) -> Job:
@@ -127,22 +128,31 @@ class GatedStrategy:
         return SimpleNamespace(runtime_seconds=0.0, phase_seconds={})
 
 
-class SweepingStrategy:
-    """Emits one sweep event, then blocks until released; stops when told."""
+class TurnTaker:
+    """Emits one sweep event, logs its tag, then holds on until released
+    (returning at once if the run was stopped meanwhile)."""
 
-    name = "sweeping"
+    name = "turn-taker"
 
-    def __init__(self, release: threading.Event, swept: threading.Event):
+    def __init__(self, tag: str, log: list, release: threading.Event):
+        self.tag = tag
+        self.log = log
         self.release = release
-        self.swept = swept
 
     def run(self, graph, config, *, num_ranks=1, run_context=None):
-        context = run_context or RunContext()
-        context.emit_mcmc_sweep(sweep=1, accepted_moves=0, proposed_moves=0, delta_dl=0.0)
-        self.swept.set()
-        assert self.release.wait(timeout=30), "gate never released"
+        run_context.emit_mcmc_sweep(sweep=1, accepted_moves=0, proposed_moves=0, delta_dl=0.0)
+        self.log.append(self.tag)
+        if not run_context.should_stop():
+            assert self.release.wait(timeout=30), "gate never released"
         return SimpleNamespace(runtime_seconds=0.0, phase_seconds={},
-                               metadata={"stopped": context.stop_reason})
+                               metadata={"stopped": run_context.stop_reason})
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class CooperativeStrategy:
@@ -411,22 +421,69 @@ class TestExecutorRealRuns:
         assert all(job.state == JobState.SUCCEEDED for job in finished)
         assert state["peak"] == 1
 
-    def test_job_waiting_for_its_turn_still_cancels(self, tiny_graph):
-        release, swept = threading.Event(), threading.Event()
-        with JobExecutor(max_workers=2, record_runs=False) as executor:
-            holder = executor.submit(tiny_graph, strategy=SweepingStrategy(release, swept))
-            assert swept.wait(timeout=10)  # holder has the turn and keeps it
-            second_swept = threading.Event()
-            waiter = executor.submit(tiny_graph, strategy=SweepingStrategy(release, second_swept))
-            time.sleep(0.2)
-            assert not second_swept.is_set()  # blocked at its first event
-            assert waiter.state == JobState.RUNNING
-            executor.cancel(waiter.job_id)
+    def test_turn_passes_to_the_highest_priority_waiter(self, tiny_graph):
+        release, log = threading.Event(), []
+        with JobExecutor(max_workers=3, record_runs=False) as executor:
+            holder = executor.submit(tiny_graph, strategy=TurnTaker("holder", log, release))
+            wait_until(lambda: log == ["holder"])
+            low = executor.submit(tiny_graph, strategy=TurnTaker("low", log, release))
+            wait_until(lambda: len(executor._turns._waiting) == 1)
+            high = executor.submit(tiny_graph, strategy=TurnTaker("high", log, release), priority=5)
+            wait_until(lambda: len(executor._turns._waiting) == 2)
             release.set()
-            assert executor.wait(holder.job_id, timeout=30).state == JobState.SUCCEEDED
-            finished = executor.wait(waiter.job_id, timeout=30)
-        assert finished.state == JobState.CANCELLED
-        assert finished.result.metadata["stopped"] == "cancelled"
+            for job in (holder, low, high):
+                assert executor.wait(job.job_id, timeout=10).state == JobState.SUCCEEDED
+        assert log == ["holder", "high", "low"]
+
+    @pytest.mark.parametrize("stop", ["cancel", "timeout"])
+    def test_job_waiting_for_its_turn_stops_without_it(self, tiny_graph, stop):
+        release, log = threading.Event(), []
+        with JobExecutor(max_workers=2, record_runs=False) as executor:
+            holder = executor.submit(tiny_graph, strategy=TurnTaker("holder", log, release))
+            wait_until(lambda: log == ["holder"])
+            waiter = executor.submit(
+                tiny_graph,
+                strategy=TurnTaker("waiter", log, release),
+                timeout=0.3 if stop == "timeout" else None,
+            )
+            wait_until(lambda: executor._turns._waiting)  # blocked at its first event
+            if stop == "cancel":
+                executor.cancel(waiter.job_id)
+            finished = executor.wait(waiter.job_id, timeout=10)
+            assert holder.state == JobState.RUNNING  # the turn was never passed
+            release.set()
+            assert executor.wait(holder.job_id, timeout=10).state == JobState.SUCCEEDED
+        expected = {"cancel": JobState.CANCELLED, "timeout": JobState.TIMEOUT}[stop]
+        assert finished.state == expected
+        assert finished.result.metadata["stopped"] == finished.state
+
+    def test_jobs_on_the_processes_transport_take_no_turns(
+        self, planted_graph, fast_config, monkeypatch
+    ):
+        """Their ranks compute in child processes, so the turn would only
+        serialise them; jobs on in-interpreter transports still take it."""
+        from repro.api import partition
+
+        taken, take = [], _Turns.take
+
+        def recording_take(turns, job, context):
+            taken.append(job.job_id)
+            take(turns, job, context)
+
+        monkeypatch.setattr(_Turns, "take", recording_take)
+        config = fast_config.with_overrides(transport="processes")
+        direct = partition(planted_graph, strategy="edist", num_ranks=2, config=config)
+        with JobExecutor(max_workers=2, record_runs=False) as executor:
+            jobs = [
+                executor.submit(planted_graph, strategy="edist", num_ranks=2, config=config)
+                for _ in range(2)
+            ]
+            jobs.append(executor.submit(planted_graph, strategy="edist", num_ranks=2, config=fast_config))
+            finished = [executor.wait(job.job_id, timeout=120) for job in jobs]
+        assert all(job.state == JobState.SUCCEEDED for job in finished)
+        for job in finished:
+            assert np.array_equal(job.result.assignment, direct.assignment)
+        assert set(taken) == {jobs[2].job_id}
 
     def test_finished_job_holds_no_run_handle(self, tiny_graph, fast_config):
         release = threading.Event()
